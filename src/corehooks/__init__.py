@@ -21,7 +21,6 @@ from .hookstats import (
     HOLDS,
     NOT_APPLICABLE,
     BiasRecord,
-    CountQuery,
     bias_table,
     cross_core_bias_table,
     hook_count_table,
@@ -32,7 +31,6 @@ from .partition import Cell, Partition
 from .qseries import (
     TruncatedSeries,
     core_count_series,
-    series_mul,
     triangular_indicator_series,
     triple_triangular_series,
     verify_identity,

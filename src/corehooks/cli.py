@@ -3,8 +3,7 @@
 Subcommands: enum, count, series, verify, conj-scan, quadform.  Output is
 machine readable (csv, json, or json lines), every integer printed as an
 exact decimal.  Exit codes: 0 success / all checks hold, 1 a
-counterexample or identity mismatch was found, 2 usage or configuration
-error.
+counterexample or identity mismatch was found, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterable
 
 from .generate import EMPTY_FILTER, PartFilter, partitions_of, t_cores_of
 from .hookstats import FAILS, bias_table, total_hook_count
@@ -41,7 +42,6 @@ class RunConfig:
     filter: PartFilter = EMPTY_FILTER
     fmt: str = "csv"
     out: str | None = None
-    workers: int = 1
     check: str = ""
     n_max: int = 0
     seed_dump: bool = False
@@ -84,22 +84,31 @@ def _parse_filter(exclude: str | None, min_part: int) -> PartFilter:
     return PartFilter(excluded=excluded, min_part=min_part)
 
 
-def _workers_from(args) -> int:
-    w = getattr(args, "workers", None)
-    if w is None:
-        w = os.environ.get("COREHOOKS_WORKERS", "1")
-    w = _parse_int(str(w), "workers")
-    if w < 1:
-        raise UsageError(f"workers must be at least 1, got {w}")
-    return w
+def _write_file(path: str, chunks: Iterable[str]):
+    """Write the chunks to a temp file beside path, then rename it onto
+    path, so path never holds a partial write; the temp file is removed
+    on failure."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = path  # name the file the caller asked for
+        raise
 
 
-def _write_output(text: str, out: str | None):
+def _write_output(chunks: Iterable[str], out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write_file(out, chunks)
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, fmt_choices=("csv", "json")):
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--workers", help="parallelism hint (or COREHOOKS_WORKERS)")
 
     p = sub.add_parser("enum", help="stream partitions as JSON lines")
     p.add_argument("--n", required=True)
@@ -134,14 +142,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=200)
     common(p)
 
-    p = sub.add_parser("verify", help="run a named verification check")
+    p = sub.add_parser(
+        "verify",
+        help="run a named verification check",
+        description="Run a named verification check.  In text format a "
+        "failing check writes its JSON report to "
+        "corehooks-<check>-report.json in the current directory, or to "
+        "--out when given.",
+    )
     p.add_argument("--check", required=True, choices=sorted(CHECKS))
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--seed-dump", action="store_true",
                    help="on failure, dump the enumerated witness sets")
     common(p, ("text", "json"))
 
-    p = sub.add_parser("conj-scan", help="scan a hook-count chain for counterexamples")
+    p = sub.add_parser(
+        "conj-scan",
+        help="scan a hook-count chain for counterexamples",
+        description="Scan a hook-count chain for counterexamples.  In text "
+        "format a failing scan writes its JSON report to "
+        "corehooks-scan-t<T>-report.json in the current directory, or to "
+        "--out when given.",
+    )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--t", type=int, default=5)
     p.add_argument("--ks", default="1,3,6")
@@ -166,9 +188,16 @@ def _cmd_enum(cfg: RunConfig) -> int:
         if cfg.t < 2:
             raise UsageError(f"t must be 0 or at least 2, got {cfg.t}")
         stream = t_cores_of(cfg.n_lo, cfg.t, cfg.filter)
-    lines = [str(p) for p in stream]
-    _write_output("".join(line + "\n" for line in lines), cfg.out)
+    _write_output(_line_chunks(stream), cfg.out)
     return 0
+
+
+def _line_chunks(items):
+    """The items' text forms, one per line, joined 4096 lines to a chunk so
+    that memory stays bounded however many items there are."""
+    it = iter(items)
+    while batch := list(islice(it, 4096)):
+        yield "".join(f"{p}\n" for p in batch)
 
 
 def _cmd_count(cfg: RunConfig) -> int:
@@ -189,12 +218,12 @@ def _cmd_count(cfg: RunConfig) -> int:
         payload = [
             {"n": n, "t": t, "k": k, "value": v} for n, t, k, v in rows
         ]
-        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _write_output([json.dumps(payload, indent=2) + "\n"], cfg.out)
     else:
         body = "n,t,k,value\n" + "".join(
             f"{n},{t},{k},{v}\n" for n, t, k, v in rows
         )
-        _write_output(body, cfg.out)
+        _write_output([body], cfg.out)
     return 0
 
 
@@ -206,12 +235,12 @@ def _cmd_series(cfg: RunConfig) -> int:
     series = core_count_series(cfg.t, cfg.order)
     if cfg.fmt == "json":
         payload = [{"n": n, "coefficient": c} for n, c in enumerate(series.coeffs)]
-        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _write_output([json.dumps(payload, indent=2) + "\n"], cfg.out)
     else:
         body = "n,coefficient\n" + "".join(
             f"{n},{c}\n" for n, c in enumerate(series.coeffs)
         )
-        _write_output(body, cfg.out)
+        _write_output([body], cfg.out)
     return 0
 
 
@@ -246,14 +275,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
             result.dump_targets, result.failing_n
         )
     if cfg.fmt == "json":
-        _write_output(json.dumps(report, indent=2) + "\n", cfg.out)
+        _write_output([json.dumps(report, indent=2) + "\n"], cfg.out)
         return 0 if result.holds else 1
     if result.holds:
         sys.stdout.write(f"{result.check}: HOLDS. {result.summary}\n")
         return 0
     path = _report_path(result.check, cfg.out)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_file(path, [json.dumps(report, indent=2)])
     sys.stdout.write(
         f"{result.check}: COUNTEREXAMPLE FOUND. {result.summary}\n"
         f"report: {path}\n"
@@ -283,7 +311,7 @@ def _cmd_conj_scan(cfg: RunConfig) -> int:
     fails = [r for r in records if r.verdict == FAILS]
     if cfg.fmt == "csv":
         pairs = [(cfg.t, k) for k in cfg.ks]
-        _write_output(_bias_table_csv(records, pairs), cfg.out)
+        _write_output([_bias_table_csv(records, pairs)], cfg.out)
         return 0 if not fails else 1
     report = {
         "t": cfg.t,
@@ -299,7 +327,7 @@ def _cmd_conj_scan(cfg: RunConfig) -> int:
         )
     if cfg.fmt == "json":
         report["records"] = bias_records_json(records)
-        _write_output(json.dumps(report, indent=2) + "\n", cfg.out)
+        _write_output([json.dumps(report, indent=2) + "\n"], cfg.out)
         return 0 if not fails else 1
     if not fails:
         sys.stdout.write(
@@ -307,8 +335,7 @@ def _cmd_conj_scan(cfg: RunConfig) -> int:
         )
         return 0
     path = _report_path(f"scan-t{cfg.t}", cfg.out)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_file(path, [json.dumps(report, indent=2)])
     sys.stdout.write(
         f"counterexamples at n = {[r.n for r in fails[:10]]}\nreport: {path}\n"
     )
@@ -323,13 +350,13 @@ def _cmd_quadform(cfg: RunConfig) -> int:
         body = "h,x,y,z,m,r,s\n" + "".join(
             f"{r.h},{r.x},{r.y},{r.z},{r.m},{r.r},{r.s}\n" for r in reps
         )
-        _write_output(body, cfg.out)
+        _write_output([body], cfg.out)
     else:
         payload = [
             {"h": r.h, "x": r.x, "y": r.y, "z": r.z, "m": r.m, "r": r.r, "s": r.s}
             for r in reps
         ]
-        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _write_output([json.dumps(payload, indent=2) + "\n"], cfg.out)
     return 0
 
 
@@ -337,7 +364,6 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand)
     cfg.fmt = getattr(args, "format", "csv")
     cfg.out = getattr(args, "out", None)
-    cfg.workers = _workers_from(args)
     if args.subcommand == "enum":
         cfg.n_lo, cfg.n_hi = _parse_n_range(args.n)
         if cfg.n_lo != cfg.n_hi:
@@ -392,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         return _DISPATCH[cfg.subcommand](cfg)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
 

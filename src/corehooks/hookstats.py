@@ -26,24 +26,6 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CountQuery:
-    """One hook-count request: k-hooks over the t-cores of n under a filter."""
-
-    t: int
-    k: int
-    n: int
-    filter: PartFilter = EMPTY_FILTER
-
-    def __post_init__(self):
-        if self.t < 2:
-            raise ValueError(f"t must be at least 2, got {self.t}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-
-
 @dataclass
 class BiasRecord:
     """Hook-count values for one n plus an inequality verdict.
@@ -71,15 +53,16 @@ def total_hook_count(
 ) -> int:
     """Total number of k-hooks over all t-core partitions of n whose parts
     pass the filter."""
-    CountQuery(t=t, k=k, n=n, filter=f)  # validate
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     total = 0
     for p in t_cores_of(n, t, f):
         total += hook_lengths_of(p.parts).count(k)
     return total
-
-
-def hook_count_query(q: CountQuery) -> int:
-    return total_hook_count(q.n, q.t, q.k, q.filter)
 
 
 def hook_count_table(

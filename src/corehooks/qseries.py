@@ -16,7 +16,7 @@ from typing import Mapping
 class TruncatedSeries:
     """Coefficients c[0..order] of a power series truncated at q^order.
 
-    Immutable; arithmetic never reads or writes beyond the truncation order.
+    Immutable.
     """
 
     __slots__ = ("order", "coeffs")
@@ -37,11 +37,6 @@ class TruncatedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        """The multiplicative identity 1."""
-        return cls.from_terms(order, {0: 1})
 
     @classmethod
     def from_terms(cls, order: int, terms: Mapping[int, int]) -> "TruncatedSeries":
@@ -73,27 +68,6 @@ class TruncatedSeries:
         tail = ", ..." if self.order > 7 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
-    def prefix(self, order: int) -> "TruncatedSeries":
-        """The same series truncated at a smaller order."""
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(order, self.coeffs[: order + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
     def _check_order(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
@@ -101,22 +75,6 @@ class TruncatedSeries:
             raise ValueError(
                 f"order mismatch: {self.order} != {other.order}"
             )
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
-    a._check_order(b)
-    order = a.order
-    out = [0] * (order + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        bs = b.coeffs
-        for j in range(order - i + 1):
-            cb = bs[j]
-            if cb:
-                out[i + j] += ca * cb
-    return TruncatedSeries(order, out)
 
 
 def core_count_series(t: int, order: int) -> TruncatedSeries:

@@ -11,6 +11,7 @@ failures with enough data to reproduce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 from .generate import (
     EMPTY_FILTER,
@@ -26,7 +27,7 @@ from .hookstats import (
     cross_core_bias_table,
     hook_count_table,
 )
-from .partition import Cell, Partition
+from .partition import Cell, Partition, hook_lengths_of
 from .qseries import is_triangular
 
 
@@ -132,36 +133,30 @@ def check_4core_conditions(p: Partition) -> ConditionReport:
     )
 
 
-def _hook_grid(parts: tuple[int, ...]) -> list[list[int]]:
-    """Hook lengths as one list per row."""
-    if not parts:
-        return []
-    width = parts[0]
-    col = [0] * (width + 1)
-    k = len(parts)
-    for v in range(1, width + 1):
-        while k > 0 and parts[k - 1] < v:
-            k -= 1
-        col[v] = k
-    grid = []
-    for i, lam in enumerate(parts, start=1):
-        grid.append([lam - j + col[j] - i + 1 for j in range(1, lam + 1)])
-    return grid
-
-
-def _find_hook_in_region(
-    grid: list[list[int]], row: int, col: int, t: int
-) -> Cell | None:
-    """First cell (row-major) in the lower-right quadrant at (row, col)
-    whose hook length is exactly t."""
-    for i in range(row, len(grid) + 1):
-        cells = grid[i - 1]
-        if len(cells) < col:
-            break
-        for j in range(col, len(cells) + 1):
-            if cells[j - 1] == t:
-                return Cell(i, j)
-    return None
+def _region_samples(
+    parts: tuple[int, ...], hooks: list[int], t: int, threshold: int
+):
+    """Yield (cell, hook length, witness) for the cells of the diagram,
+    row-major, whose hook length is a multiple of t and at least threshold
+    and whose region holds a t-hook; the witness is the first such t-hook
+    cell, row-major.  hooks is hook_lengths_of(parts)."""
+    starts = list(accumulate(parts, initial=0))
+    for i, lam in enumerate(parts):
+        for j in range(lam):
+            h = hooks[starts[i] + j]
+            if h % t or h < threshold:
+                continue
+            witness = next(
+                (
+                    Cell(r + 1, c + 1)
+                    for r in range(i, len(parts))
+                    for c in range(j, parts[r])
+                    if hooks[starts[r] + c] == t
+                ),
+                None,
+            )
+            if witness is not None:
+                yield Cell(i + 1, j + 1), h, witness
 
 
 def region_theorem_scan(
@@ -174,9 +169,16 @@ def region_theorem_scan(
     """Search all partitions of every n <= n_max for a hook of length k*t
     (k >= k_min) whose region contains no hook of length exactly t.
 
+    The region of a cell, re-indexed, is a partition of at most as many
+    boxes with the same hook lengths cell for cell, and its corner is the
+    cell itself; every partition is its own region at (1, 1).  So only the
+    corner hook of each partition needs checking, and a violation is
+    reported as the region partition with hook_cell (1, 1).
+
     Returns the violations (empty when the containment property holds on
-    the whole range).  When a list is passed as samples, a few positive
-    witnesses per t are appended to it for reporting.
+    the whole range).  When a list is passed as samples, the first
+    samples_per_t positive witnesses per t, over every cell of every
+    partition in enumeration order, are appended to it for reporting.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
@@ -184,64 +186,26 @@ def region_theorem_scan(
     if any(t < 1 for t in t_values):
         raise ValueError("every t must be at least 1")
     violations: list[RegionWitness] = []
-    sampled = {t: 0 for t in t_values}
+    sampled = dict.fromkeys(t_values, 0)
+    pending = t_values if samples is not None and samples_per_t > 0 else []
     for n in range(1, n_max + 1):
         for parts in iter_partition_parts(n):
-            grid = _hook_grid(parts)
-            rows = len(grid)
+            hooks = hook_lengths_of(parts)
+            corner = hooks[0]
+            part_obj = None
             for t in t_values:
-                threshold = k_min * t
-                # reach[i][j]: some cell weakly below/right of (i, j) has
-                # hook exactly t (1-based cells, 0-based lists)
-                reach = [[False] * len(r) for r in grid]
-                hit = False
-                for i in range(rows - 1, -1, -1):
-                    row_h = grid[i]
-                    row_r = reach[i]
-                    below = reach[i + 1] if i + 1 < rows else None
-                    for j in range(len(row_h) - 1, -1, -1):
-                        ok = row_h[j] == t
-                        if not ok and j + 1 < len(row_h):
-                            ok = row_r[j + 1]
-                        if not ok and below is not None and j < len(below):
-                            ok = below[j]
-                        row_r[j] = ok
-                        if not ok and row_h[j] % t == 0 and row_h[j] >= threshold:
-                            hit = True
-                if not hit and (samples is None or sampled[t] >= samples_per_t):
-                    continue
-                part_obj = None
-                for i in range(rows):
-                    for j in range(len(grid[i])):
-                        h = grid[i][j]
-                        if h % t == 0 and h >= threshold:
-                            if not reach[i][j]:
-                                if part_obj is None:
-                                    part_obj = Partition._unchecked(parts, n)
-                                violations.append(
-                                    RegionWitness(
-                                        partition=part_obj,
-                                        hook_cell=Cell(i + 1, j + 1),
-                                        hook_len=h,
-                                        t=t,
-                                        witness_cell=None,
-                                    )
-                                )
-                            elif samples is not None and sampled[t] < samples_per_t:
-                                if part_obj is None:
-                                    part_obj = Partition._unchecked(parts, n)
-                                samples.append(
-                                    RegionWitness(
-                                        partition=part_obj,
-                                        hook_cell=Cell(i + 1, j + 1),
-                                        hook_len=h,
-                                        t=t,
-                                        witness_cell=_find_hook_in_region(
-                                            grid, i + 1, j + 1, t
-                                        ),
-                                    )
-                                )
-                                sampled[t] += 1
+                if corner % t == 0 and corner >= k_min * t and t not in hooks:
+                    part_obj = part_obj or Partition._unchecked(parts, n)
+                    violations.append(
+                        RegionWitness(part_obj, Cell(1, 1), corner, t, None)
+                    )
+            for t in pending:
+                found = _region_samples(parts, hooks, t, k_min * t)
+                for cell, h, witness in islice(found, samples_per_t - sampled[t]):
+                    part_obj = part_obj or Partition._unchecked(parts, n)
+                    samples.append(RegionWitness(part_obj, cell, h, t, witness))
+                    sampled[t] += 1
+            pending = [t for t in pending if sampled[t] < samples_per_t]
     return violations
 
 

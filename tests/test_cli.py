@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from corehooks.cli import main
+from corehooks.generate import partitions_of
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,30 @@ def test_enum_all_partitions(capsys):
     assert out.splitlines() == ["[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
 
 
+class WriteRecorder:
+    """A stdout stand-in with only write and flush."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+def test_enum_streams_in_chunks(monkeypatch):
+    rec = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", rec)
+    assert main(["enum", "--n", "30"]) == 0
+    expect = "".join(f"{p}\n" for p in partitions_of(30))
+    assert expect.count("\n") == 5604
+    assert "".join(rec.writes) == expect
+    assert len(rec.writes) > 1
+
+
 def test_series_csv(capsys):
     code, out, _ = run_cli(capsys, "series", "--t", "2", "--order", "10")
     assert code == 0
@@ -90,6 +115,44 @@ def test_verify_json_format(capsys):
     assert report["holds"] is True
     assert report["failures"] == []
     assert report["witness_samples"]
+
+
+# witness_samples of `verify --check region --n-max 25 --format json`, as
+# recorded from the earlier scan that built a reach grid for every cell
+REGION_25_SAMPLES = [
+    ("[2]", [1, 1], 2, 1, [1, 2]),
+    ("[1,1]", [1, 1], 2, 1, [2, 1]),
+    ("[3]", [1, 1], 3, 1, [1, 3]),
+    ("[4]", [1, 1], 4, 2, [1, 3]),
+    ("[3,1]", [1, 1], 4, 2, [1, 2]),
+    ("[2,1,1]", [1, 1], 4, 2, [2, 1]),
+    ("[6]", [1, 1], 6, 3, [1, 4]),
+    ("[5,1]", [1, 1], 6, 3, [1, 3]),
+    ("[4,1,1]", [1, 1], 6, 3, [1, 2]),
+    ("[8]", [1, 1], 8, 4, [1, 5]),
+    ("[7,1]", [1, 1], 8, 4, [1, 4]),
+    ("[6,1,1]", [1, 1], 8, 4, [1, 3]),
+    ("[10]", [1, 1], 10, 5, [1, 6]),
+    ("[9,1]", [1, 1], 10, 5, [1, 5]),
+    ("[8,1,1]", [1, 1], 10, 5, [1, 4]),
+    ("[12]", [1, 1], 12, 6, [1, 7]),
+    ("[11,1]", [1, 1], 12, 6, [1, 6]),
+    ("[10,1,1]", [1, 1], 12, 6, [1, 5]),
+    ("[14]", [1, 1], 14, 7, [1, 8]),
+    ("[13,1]", [1, 1], 14, 7, [1, 7]),
+    ("[12,1,1]", [1, 1], 14, 7, [1, 6]),
+]
+
+
+def test_verify_region_witness_samples_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", "region", "--n-max", "25", "--format", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["failures"] == []
+    keys = ("partition", "hook_cell", "hook_len", "t", "witness_cell")
+    assert report["witness_samples"] == [dict(zip(keys, s)) for s in REGION_25_SAMPLES]
 
 
 def test_verify_unknown_check(capsys):
@@ -161,34 +224,34 @@ def test_output_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert target.read_text().startswith("n,coefficient\n")
+    # the temp file was renamed onto the target, not left beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
 
 
-def test_workers_accepted_and_output_identical(capsys):
-    outs = []
-    for w in ("1", "4"):
-        code, out, _ = run_cli(
-            capsys, "count", "--t", "3", "--k", "1,2,4", "--n", "0..25",
-            "--workers", w,
-        )
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
-def test_workers_validation(capsys):
-    code, _, err = run_cli(
-        capsys, "count", "--t", "3", "--k", "1", "--n", "1", "--workers", "0"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--t", "3", "--order", "5"],
+        # text-mode reports of a failing check and a failing scan
+        ["verify", "--check", "conj15", "--n-max", "93"],
+        ["conj-scan", "--n-max", "5", "--t", "3", "--ks", "2,1", "--relations", ">="],
+    ],
+    ids=["out", "verify-report", "conj-scan-report"],
+)
+@pytest.mark.parametrize("target_is_dir", [False, True], ids=["missing-dir", "dir"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv, target_is_dir):
+    # a missing directory fails on the temp file; a target that is a
+    # directory fails on the rename, after which the temp file is removed
+    target = tmp_path / "target"
+    if target_is_dir:
+        target.mkdir()
+    else:
+        target = target / "report"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
     assert code == 2
-
-
-def test_workers_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("COREHOOKS_WORKERS", "broken")
-    code, _, err = run_cli(capsys, "count", "--t", "3", "--k", "1", "--n", "1")
-    assert code == 2
-    monkeypatch.setenv("COREHOOKS_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "count", "--t", "3", "--k", "1", "--n", "1")
-    assert code == 0 and out == "1\n"
+    assert err.startswith("corehooks: error: ") and str(target) in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == (["target"] if target_is_dir else [])
 
 
 def test_unknown_subcommand_exits_2(capsys):

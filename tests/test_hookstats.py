@@ -5,10 +5,8 @@ from corehooks.hookstats import (
     FAILS,
     HOLDS,
     NOT_APPLICABLE,
-    CountQuery,
     bias_table,
     cross_core_bias_table,
-    hook_count_query,
     hook_count_table,
     per_partition_compare,
     total_hook_count,
@@ -55,13 +53,12 @@ def test_restricted_fixtures():
 
 
 def test_count_query_validation():
-    with pytest.raises(ValueError):
-        CountQuery(t=1, k=1, n=0)
-    with pytest.raises(ValueError):
-        CountQuery(t=2, k=0, n=0)
-    with pytest.raises(ValueError):
-        CountQuery(t=2, k=1, n=-1)
-    assert hook_count_query(CountQuery(t=2, k=1, n=6)) == 3
+    with pytest.raises(ValueError, match="t must be at least 2"):
+        total_hook_count(0, 1, 1)
+    with pytest.raises(ValueError, match="k must be positive"):
+        total_hook_count(0, 2, 0)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        total_hook_count(-1, 2, 1)
 
 
 @pytest.mark.parametrize("t,k", [(2, 1), (3, 2), (4, 3), (5, 6)])

@@ -1,39 +1,26 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from corehooks.generate import count_t_cores
 from corehooks.qseries import (
     TruncatedSeries,
     core_count_series,
     is_triangular,
-    series_mul,
     triangular_indicator_series,
     triple_triangular_series,
     verify_identity,
 )
 
 
-def test_mul_fixtures():
-    a = TruncatedSeries.from_terms(2, {0: 1, 1: 1})
-    b = TruncatedSeries.from_terms(2, {0: 1, 1: -1})
-    assert (a * b).coeffs == (1, 0, -1)
-
-    one = TruncatedSeries.one(10)
-    geo = TruncatedSeries(10, [1] * 11)
-    lin = TruncatedSeries.from_terms(10, {0: 1, 1: -1})
-    assert series_mul(lin, geo) == one
-    assert series_mul(geo, one) == geo
-
-
 def test_mul_order_mismatch():
     with pytest.raises(ValueError):
-        series_mul(TruncatedSeries.one(3), TruncatedSeries.one(4))
-    with pytest.raises(ValueError):
-        verify_identity(TruncatedSeries.one(3), TruncatedSeries.one(4))
+        verify_identity(
+            TruncatedSeries.from_terms(3, {0: 1}), TruncatedSeries.from_terms(4, {0: 1})
+        )
 
 
 def test_series_is_immutable():
-    s = TruncatedSeries.one(3)
+    s = TruncatedSeries.from_terms(3, {0: 1})
     with pytest.raises(AttributeError):
         s.order = 5
 
@@ -100,7 +87,7 @@ def test_coefficients_nonnegative():
 def test_truncation_coherence(t):
     long = core_count_series(t, 120)
     for m in (0, 1, 17, 119):
-        assert long.prefix(m) == core_count_series(t, m)
+        assert long.coeffs[: m + 1] == core_count_series(t, m).coeffs
 
 
 @given(st.integers(min_value=0, max_value=5000))
@@ -110,18 +97,3 @@ def test_is_triangular(n):
         assert ell * (ell + 1) // 2 == n
     else:
         assert all(k * (k + 1) // 2 != n for k in range(101))
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(st.integers(-5, 5), min_size=7, max_size=7),
-    st.lists(st.integers(-5, 5), min_size=7, max_size=7),
-    st.lists(st.integers(-5, 5), min_size=7, max_size=7),
-)
-def test_mul_is_commutative_associative_bilinear(xs, ys, zs):
-    a = TruncatedSeries(6, xs)
-    b = TruncatedSeries(6, ys)
-    c = TruncatedSeries(6, zs)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c

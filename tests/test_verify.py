@@ -90,6 +90,42 @@ def test_region_scan_fixture_witness():
     assert ours and ours[0].witness_cell == Cell(1, 2)
 
 
+def test_region_scan_matches_brute_force():
+    # every cell of every partition, with its whole region walked box by
+    # box on directly counted hook lengths; no corner-hook reduction
+    violations = []
+    for n in range(1, 13):
+        for parts in naive_partitions(n):
+            p = Partition(parts)
+            hook = dict(zip(p.cells(), naive_hooks(parts)))
+            for cell, h in hook.items():
+                for t in range(1, 8):
+                    if h % t == 0 and h >= 2 * t:
+                        if all(hook[c] != t for c in p.region(cell)):
+                            violations.append((parts, cell, t))
+    assert violations == []
+    assert region_theorem_scan(12, t_values=range(1, 8)) == violations
+
+
+def test_region_scan_reports_violation_at_corner(monkeypatch):
+    # the property holds, so a violation is staged by masking every 3-hook
+    # as 0; for n <= 6 only the hook shapes of 6 have a corner hook of 6
+    from corehooks import verify
+
+    real = verify.hook_lengths_of
+    monkeypatch.setattr(
+        verify, "hook_lengths_of", lambda parts: [h if h != 3 else 0 for h in real(parts)]
+    )
+    samples = []
+    violations = region_theorem_scan(6, t_values=[3], samples=samples)
+    assert [str(w.partition) for w in violations] == [
+        "[6]", "[5,1]", "[4,1,1]", "[3,1,1,1]", "[2,1,1,1,1]", "[1,1,1,1,1,1]",
+    ]
+    for w in violations:
+        assert (w.hook_cell, w.hook_len, w.t, w.witness_cell) == (Cell(1, 1), 6, 3, None)
+    assert samples == []
+
+
 def test_region_scan_validation():
     with pytest.raises(ValueError):
         region_theorem_scan(0)
