@@ -3,7 +3,8 @@
 Subcommands: enum, count, series, verify, conj-scan, quadform.  Output is
 machine readable (csv, json, or json lines), every integer printed as an
 exact decimal.  Exit codes: 0 success / all checks hold, 1 a
-counterexample or identity mismatch was found, 2 usage or I/O error.
+counterexample or identity mismatch was found, 2 usage or I/O error, 141
+the reader of stdout closed the pipe early.
 """
 
 from __future__ import annotations
@@ -84,17 +85,32 @@ def _parse_filter(exclude: str | None, min_part: int) -> PartFilter:
     return PartFilter(excluded=excluded, min_part=min_part)
 
 
-def _write_file(path: str, chunks: Iterable[str]):
-    """Write the chunks to a temp file beside path, then rename it onto
-    path, so path never holds a partial write; the temp file is removed
-    on failure."""
-    head, tail = os.path.split(path)
+def _write_chunks(fh, text: str | Iterable[str]):
+    """Write text, one string or an iterable of string chunks, with
+    .write() only."""
+    for chunk in [text] if isinstance(text, str) else text:
+        fh.write(chunk)
+
+
+def _write_file(path: str, text: str | Iterable[str]):
+    """Write text to path.  A missing or regular target (a symlink is
+    followed) is written to a temp file beside it and renamed onto it, so
+    it never holds a partial write; the temp file keeps an existing
+    target's permission bits and is removed on failure.  Anything else,
+    such as a device or a FIFO, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            _write_chunks(fh, text)
+        return
+    real = os.path.realpath(path)
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
+            _write_chunks(fh, text)
+        if os.path.exists(real):
+            os.chmod(tmp, os.stat(real).st_mode & 0o7777)
+        os.replace(tmp, real)
     except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -103,12 +119,11 @@ def _write_file(path: str, chunks: Iterable[str]):
         raise
 
 
-def _write_output(chunks: Iterable[str], out: str | None):
+def _write_output(text: str | Iterable[str], out: str | None):
     if out:
-        _write_file(out, chunks)
+        _write_file(out, text)
     else:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        _write_chunks(sys.stdout, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,12 +233,12 @@ def _cmd_count(cfg: RunConfig) -> int:
         payload = [
             {"n": n, "t": t, "k": k, "value": v} for n, t, k, v in rows
         ]
-        _write_output([json.dumps(payload, indent=2) + "\n"], cfg.out)
+        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
     else:
         body = "n,t,k,value\n" + "".join(
             f"{n},{t},{k},{v}\n" for n, t, k, v in rows
         )
-        _write_output([body], cfg.out)
+        _write_output(body, cfg.out)
     return 0
 
 
@@ -235,12 +250,12 @@ def _cmd_series(cfg: RunConfig) -> int:
     series = core_count_series(cfg.t, cfg.order)
     if cfg.fmt == "json":
         payload = [{"n": n, "coefficient": c} for n, c in enumerate(series.coeffs)]
-        _write_output([json.dumps(payload, indent=2) + "\n"], cfg.out)
+        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
     else:
         body = "n,coefficient\n" + "".join(
             f"{n},{c}\n" for n, c in enumerate(series.coeffs)
         )
-        _write_output([body], cfg.out)
+        _write_output(body, cfg.out)
     return 0
 
 
@@ -275,13 +290,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
             result.dump_targets, result.failing_n
         )
     if cfg.fmt == "json":
-        _write_output([json.dumps(report, indent=2) + "\n"], cfg.out)
+        _write_output(json.dumps(report, indent=2) + "\n", cfg.out)
         return 0 if result.holds else 1
     if result.holds:
         sys.stdout.write(f"{result.check}: HOLDS. {result.summary}\n")
         return 0
     path = _report_path(result.check, cfg.out)
-    _write_file(path, [json.dumps(report, indent=2)])
+    _write_file(path, json.dumps(report, indent=2))
     sys.stdout.write(
         f"{result.check}: COUNTEREXAMPLE FOUND. {result.summary}\n"
         f"report: {path}\n"
@@ -311,7 +326,7 @@ def _cmd_conj_scan(cfg: RunConfig) -> int:
     fails = [r for r in records if r.verdict == FAILS]
     if cfg.fmt == "csv":
         pairs = [(cfg.t, k) for k in cfg.ks]
-        _write_output([_bias_table_csv(records, pairs)], cfg.out)
+        _write_output(_bias_table_csv(records, pairs), cfg.out)
         return 0 if not fails else 1
     report = {
         "t": cfg.t,
@@ -327,7 +342,7 @@ def _cmd_conj_scan(cfg: RunConfig) -> int:
         )
     if cfg.fmt == "json":
         report["records"] = bias_records_json(records)
-        _write_output([json.dumps(report, indent=2) + "\n"], cfg.out)
+        _write_output(json.dumps(report, indent=2) + "\n", cfg.out)
         return 0 if not fails else 1
     if not fails:
         sys.stdout.write(
@@ -335,7 +350,7 @@ def _cmd_conj_scan(cfg: RunConfig) -> int:
         )
         return 0
     path = _report_path(f"scan-t{cfg.t}", cfg.out)
-    _write_file(path, [json.dumps(report, indent=2)])
+    _write_file(path, json.dumps(report, indent=2))
     sys.stdout.write(
         f"counterexamples at n = {[r.n for r in fails[:10]]}\nreport: {path}\n"
     )
@@ -350,13 +365,13 @@ def _cmd_quadform(cfg: RunConfig) -> int:
         body = "h,x,y,z,m,r,s\n" + "".join(
             f"{r.h},{r.x},{r.y},{r.z},{r.m},{r.r},{r.s}\n" for r in reps
         )
-        _write_output([body], cfg.out)
+        _write_output(body, cfg.out)
     else:
         payload = [
             {"h": r.h, "x": r.x, "y": r.y, "z": r.z, "m": r.m, "r": r.r, "s": r.s}
             for r in reps
         ]
-        _write_output([json.dumps(payload, indent=2) + "\n"], cfg.out)
+        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
     return 0
 
 
@@ -417,7 +432,18 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        return _DISPATCH[cfg.subcommand](cfg)
+        code = _DISPATCH[cfg.subcommand](cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Stop quietly with the status
+        # of a filter killed by SIGPIPE, and point stdout at devnull so the
+        # flush at interpreter exit cannot fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # stdout is not a file descriptor
+        return 141  # 128 + SIGPIPE
     except (UsageError, ValueError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

@@ -192,18 +192,17 @@ def region_theorem_scan(
         for parts in iter_partition_parts(n):
             hooks = hook_lengths_of(parts)
             corner = hooks[0]
-            part_obj = None
             for t in t_values:
                 if corner % t == 0 and corner >= k_min * t and t not in hooks:
-                    part_obj = part_obj or Partition._unchecked(parts, n)
-                    violations.append(
-                        RegionWitness(part_obj, Cell(1, 1), corner, t, None)
-                    )
+                    violations.append(RegionWitness(
+                        Partition._unchecked(parts, n), Cell(1, 1), corner, t, None
+                    ))
             for t in pending:
                 found = _region_samples(parts, hooks, t, k_min * t)
                 for cell, h, witness in islice(found, samples_per_t - sampled[t]):
-                    part_obj = part_obj or Partition._unchecked(parts, n)
-                    samples.append(RegionWitness(part_obj, cell, h, t, witness))
+                    samples.append(RegionWitness(
+                        Partition._unchecked(parts, n), cell, h, t, witness
+                    ))
                     sampled[t] += 1
             pending = [t for t in pending if sampled[t] < samples_per_t]
     return violations

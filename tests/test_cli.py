@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -228,6 +230,31 @@ def test_output_file(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
 
 
+def test_output_file_through_symlink_keeps_mode(capsys, tmp_path):
+    target = tmp_path / "series.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(
+        capsys, "series", "--t", "3", "--order", "5", "--out", str(link)
+    )
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().startswith("n,coefficient\n")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "series.csv"]
+
+
+def test_output_to_devnull(capsys):
+    # a target that is not a regular file is written in place, not replaced
+    code, out, err = run_cli(
+        capsys, "series", "--t", "3", "--order", "5", "--out", os.devnull
+    )
+    assert code == 0 and out == "" and err == ""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -241,7 +268,7 @@ def test_output_file(capsys, tmp_path):
 @pytest.mark.parametrize("target_is_dir", [False, True], ids=["missing-dir", "dir"])
 def test_unwritable_output_exits_2(capsys, tmp_path, argv, target_is_dir):
     # a missing directory fails on the temp file; a target that is a
-    # directory fails on the rename, after which the temp file is removed
+    # directory is not a regular file, so it fails on the open in place
     target = tmp_path / "target"
     if target_is_dir:
         target.mkdir()
@@ -256,6 +283,22 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, target_is_dir):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_enum_into_closed_pipe_exits_quietly():
+    # enum --n 40 writes about 1.8 MB, far more than a pipe buffers, so the
+    # reader's close lands while enum is still writing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corehooks", "enum", "--n", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"[40]\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_module_entrypoint_subprocess():
