@@ -76,6 +76,13 @@ def _parse_int_list(text: str, name: str) -> list[int]:
     return vals
 
 
+def _parse_hook_lengths(text: str, name: str) -> list[int]:
+    ks = _parse_int_list(text, name)
+    if any(k < 1 for k in ks):
+        raise UsageError("hook lengths must be positive")
+    return ks
+
+
 def _parse_filter(exclude: str | None, min_part: int) -> PartFilter:
     excluded = frozenset(_parse_int_list(exclude, "exclude")) if exclude else frozenset()
     if any(v < 1 for v in excluded):
@@ -218,8 +225,6 @@ def _line_chunks(items):
 def _cmd_count(cfg: RunConfig) -> int:
     if cfg.t < 2:
         raise UsageError(f"t must be at least 2, got {cfg.t}")
-    if any(k < 1 for k in cfg.ks):
-        raise UsageError("hook lengths must be positive")
     single = cfg.n_lo == cfg.n_hi and len(cfg.ks) == 1
     if single and cfg.fmt == "csv" and cfg.out is None:
         value = total_hook_count(cfg.n_lo, cfg.t, cfg.ks[0], cfg.filter)
@@ -387,7 +392,7 @@ def _config_from_args(args) -> RunConfig:
         cfg.filter = _parse_filter(args.exclude, args.min_part)
     elif args.subcommand == "count":
         cfg.t = args.t
-        cfg.ks = _parse_int_list(args.k, "k")
+        cfg.ks = _parse_hook_lengths(args.k, "k")
         cfg.n_lo, cfg.n_hi = _parse_n_range(args.n)
         cfg.filter = _parse_filter(args.exclude, args.min_part)
     elif args.subcommand == "series":
@@ -402,7 +407,7 @@ def _config_from_args(args) -> RunConfig:
     elif args.subcommand == "conj-scan":
         cfg.t = args.t
         cfg.n_max = args.n_max
-        cfg.ks = _parse_int_list(args.ks, "ks")
+        cfg.ks = _parse_hook_lengths(args.ks, "ks")
         cfg.relations = [r.strip() for r in args.relations.split(",") if r.strip()]
         cfg.filter = _parse_filter(args.exclude, args.min_part)
         cfg.seed_dump = args.seed_dump

@@ -2,8 +2,12 @@
 
 The central quantity is the total number of k-hooks across all t-core
 partitions of n, optionally restricted to partitions avoiding a set of
-part values.  Range sweeps share one pruned enumeration pass per (t,
-filter) pair; per-n results are exact integers throughout.
+part values.  Totals come from the charge vectors of the cores on the
+t-abacus (see _abacus): a range table is one pass over every vector of
+size at most n_max, a point query one pass over the vectors of size n,
+and each core costs O(t) per hook length.  The part-by-part walker of
+generate is used here only where single partitions are reported
+(per_partition_compare).  Every count is an exact integer.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .generate import EMPTY_FILTER, PartFilter, t_cores_of, t_cores_up_to
+from . import _abacus
+from .generate import EMPTY_FILTER, PartFilter, t_cores_of
 from .partition import Partition, hook_lengths_of
 
 HOLDS = "HOLDS"
@@ -48,21 +53,32 @@ def relation_check(name: str, a: int, b: int) -> bool:
         raise ValueError(f"unknown relation {name!r}; use >=, <= or =") from None
 
 
+def _engine_t(t: int, n_max: int) -> int:
+    """The number of abacus runners to use for sizes up to n_max.
+
+    A partition of n <= n_max has no hook longer than n_max, so it is a
+    t-core for every t > n_max and its hooks do not depend on t; n_max + 1
+    runners (at least 2) then give the same cores and the same counts.
+    """
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
+    if n_max < 0:
+        raise ValueError(f"n must be non-negative, got {n_max}")
+    return min(t, max(2, n_max + 1))
+
+
 def total_hook_count(
     n: int, t: int, k: int, f: PartFilter = EMPTY_FILTER
 ) -> int:
     """Total number of k-hooks over all t-core partitions of n whose parts
     pass the filter."""
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
+    te = _engine_t(t, n)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    total = 0
-    for p in t_cores_of(n, t, f):
-        total += hook_lengths_of(p.parts).count(k)
-    return total
+    tables, _ = _abacus.hook_table(
+        _abacus.charge_vectors(te, n, True), te, _abacus.part_test(f, te, n), (k,)
+    )
+    return tables[n][k] if n in tables else 0
 
 
 def hook_count_table(
@@ -71,29 +87,26 @@ def hook_count_table(
     f: PartFilter = EMPTY_FILTER,
     ks: Sequence[int] | None = None,
 ) -> tuple[list[Counter], list[int]]:
-    """Hook counts for every n <= n_max in a single pruned sweep.
+    """Hook counts for every n <= n_max in a single pass over the charge
+    vectors of the t-cores.
 
     Returns (tables, core_counts): tables[n] maps hook length to total
     count over the t-cores of n (restricted to ks when given), and
     core_counts[n] is the number of t-cores of n under the filter.
+    Only positive counts are stored.
     """
-    tables: list[Counter] = [Counter() for _ in range(n_max + 1)]
-    core_counts = [0] * (n_max + 1)
-    if ks is None:
-        for n, p in t_cores_up_to(n_max, t, f):
-            core_counts[n] += 1
-            tables[n].update(hook_lengths_of(p.parts))
-    else:
-        kl = list(ks)
-        for n, p in t_cores_up_to(n_max, t, f):
-            core_counts[n] += 1
-            flat = hook_lengths_of(p.parts)
-            tbl = tables[n]
-            for k in kl:
-                c = flat.count(k)
-                if c:
-                    tbl[k] += c
-    return tables, core_counts
+    te = _engine_t(t, n_max)
+    if ks is not None:
+        ks = list(ks)
+        if any(k < 1 for k in ks):
+            raise ValueError(f"hook lengths must be positive, got {ks}")
+    tables, core_counts = _abacus.hook_table(
+        _abacus.charge_vectors(te, n_max, False), te, _abacus.part_test(f, te, n_max), ks
+    )
+    return (
+        [tables.get(n) or Counter() for n in range(n_max + 1)],
+        [core_counts[n] for n in range(n_max + 1)],
+    )
 
 
 def bias_table(

@@ -68,6 +68,10 @@ def partition_parts(max_n: int = 40, max_len: int = 10):
 # therefore enumerates the t-cores with no reference to the package's
 # generators, and hook counts fall out of the bead set alone:
 # the number of k-hooks is #{b in B : b >= k and b - k not in B}.
+#
+# The package's hook counts now come from the same charge vectors, so this
+# oracle checks only the part-by-part walker of generate.  Against the
+# package's counts the independent route is the walker with naive_hooks.
 # ---------------------------------------------------------------------------
 
 
@@ -99,9 +103,9 @@ def bead_hook_count(beads: frozenset[int], k: int) -> int:
 def bead_vector_tcores(n_max: int, t: int):
     """All t-cores of every n <= n_max via bead vectors.
 
-    Returns a dict n -> list of (parts, bead_set).  Completely independent
-    of the package enumerators: no partition is ever built part by part and
-    no diagram hook is ever computed.
+    Returns a dict n -> list of (parts, bead_set).  Independent of the
+    walker: no partition is ever built part by part and no diagram hook is
+    ever computed.
     """
     slack = (t - 1) * (2 * t - 1) // 12 + 1
     # one coordinate contributes (t*x^2 + 2*c*x)/2 >= (t*x^2 - 2*(t-1)*|x|)/2,

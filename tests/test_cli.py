@@ -1,13 +1,19 @@
+import hashlib
 import json
 import os
 import stat
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from corehooks.cli import main
-from corehooks.generate import partitions_of
+from corehooks.generate import partitions_of, t_cores_of
+from corehooks.partition import hook_lengths_of
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +44,66 @@ def test_count_range_csv(capsys):
     # hand enumeration: 4-cores of 3 are (3), (2,1), (1,1,1) with hook
     # multisets {3,2,1}, {3,1,1}, {3,2,1}; the 4-core of 4 is (2,2)
     assert lines[1:] == ["3,4,1,4", "3,4,3,3", "4,4,1,1", "4,4,3,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conj-scan", "--t", "5", "--ks", "1,0,-3", "--n-max", "12", "--format", "csv"],
+        ["conj-scan", "--ks", "1,0", "--relations", ">=", "--n-max", "12"],
+        ["count", "--t", "4", "--k", "0", "--n", "3"],
+        ["count", "--t", "4", "--k", "1,-2", "--n", "3..4"],
+    ],
+)
+def test_nonpositive_hook_length_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "corehooks: error: hook lengths must be positive\n"
+
+
+def _walker_hooks(n, t):
+    """Hook-length totals over the t-cores of n from the part-by-part walker."""
+    return Counter(h for p in t_cores_of(n, t) for h in hook_lengths_of(p.parts))
+
+
+@pytest.mark.parametrize("t", [60, 2000])
+def test_count_with_t_above_n_matches_walker(capsys, t):
+    code, out, _ = run_cli(capsys, "count", "--t", str(t), "--k", "1", "--n", "30")
+    assert code == 0
+    assert out == f"{_walker_hooks(30, t)[1]}\n" == "23025\n"
+    code, out, _ = run_cli(capsys, "count", "--t", str(t), "--k", "2,7,30", "--n", "27..29")
+    assert code == 0
+    want = []
+    for n in range(27, 30):
+        hooks = _walker_hooks(n, t)
+        want += [f"{n},{t},{k},{hooks[k]}" for k in (2, 7, 30)]
+    assert out.splitlines() == ["n,t,k,value"] + want
+
+
+def test_conj_scan_with_t_above_n(capsys):
+    code, out, err = run_cli(
+        capsys, "conj-scan", "--t", "2000", "--ks", "1,2", "--relations", ">=",
+        "--n-max", "20", "--format", "csv",
+    )
+    assert code == 0 and err == ""
+    rows = [[int(v) for v in line.split(",")[2:]] for line in out.splitlines()[1:]]
+    hooks = [_walker_hooks(n, 2000) for n in range(21)]
+    assert rows == [[h[1], h[2]] for h in hooks]
+
+
+def _tiny_pins():
+    return sorted(json.loads(REFERENCE.read_text())["pins"]["tiny"].items())
+
+
+@pytest.mark.parametrize("invocation,pin", _tiny_pins(), ids=[k for k, _ in _tiny_pins()])
+def test_output_matches_benchmark_pin(capsys, tmp_path, monkeypatch, invocation, pin):
+    # the benchmark pins exit code and stdout of these invocations; a change
+    # in the CLI's bytes fails here before it fails the benchmark
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *invocation.split())
+    assert code == pin["rc"]
+    assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
 
 
 def test_count_json_and_restriction(capsys):

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from corehooks.generate import PartFilter, count_t_cores
+from corehooks.generate import PartFilter, count_t_cores, t_cores_up_to
 from corehooks.hookstats import (
     FAILS,
     HOLDS,
@@ -12,7 +14,7 @@ from corehooks.hookstats import (
     total_hook_count,
 )
 
-from conftest import naive_hook_count, naive_is_t_core, naive_partitions
+from conftest import naive_hook_count, naive_hooks, naive_is_t_core, naive_partitions
 
 C1 = PartFilter(excluded=frozenset({1}))
 C12 = PartFilter(excluded=frozenset({1, 2}))
@@ -145,3 +147,64 @@ def test_no_hooks_divisible_by_t():
         tables, _ = hook_count_table(t, 25)
         for n in range(26):
             assert all(k % t for k in tables[n])
+
+
+def test_hook_lengths_must_be_positive():
+    for ks in ((1, 0), (-3,)):
+        with pytest.raises(ValueError, match="hook lengths must be positive"):
+            hook_count_table(5, 10, ks=ks)
+        with pytest.raises(ValueError, match="hook lengths must be positive"):
+            bias_table(5, [1, *ks], 0, 10, relations=[">="] * len(ks))
+    with pytest.raises(ValueError, match="hook lengths must be positive"):
+        cross_core_bias_table([(2, 0), (4, 1)], 0, 10, ["<="])
+
+
+def test_repeated_k_is_counted_once():
+    tables, _ = hook_count_table(4, 12, ks=(1, 1, 3))
+    single, _ = hook_count_table(4, 12, ks=(1, 3))
+    assert tables == single
+    recs = bias_table(4, [1, 1], 0, 5, relations=["="])
+    assert [r.values[(4, 1)] for r in recs] == [0, 1, 2, 4, 1, 6]
+
+
+def test_large_t_counts_every_partition():
+    # for t > n every partition of n is a t-core, whatever t is
+    tables, core_counts = hook_count_table(10**9, 12, ks=(1, 5))
+    assert core_counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    assert tables[12][1] == total_hook_count(12, 10**6, 1) == naive_total(12, 13, 1)
+    assert tables[12][5] == naive_total(12, 13, 5)
+
+
+# filters of the differential test below
+FILTERS = [
+    PartFilter(),
+    PartFilter(excluded=frozenset({1})),
+    PartFilter(excluded=frozenset({1, 2})),
+    PartFilter(excluded=frozenset({2, 5})),
+    PartFilter(min_part=3),
+]
+
+
+@pytest.mark.parametrize("t,n_max", [(t, 60) for t in range(2, 8)] + [(50, 22)])
+def test_engine_matches_walker_with_diagram_hooks(t, n_max):
+    # The package counts hooks on charge vectors, as the bead oracle of
+    # conftest does, so the reference here is the other route: the
+    # part-by-part walker with hooks counted box by box on the diagram.
+    # For t = 50 every partition of n <= 22 is a 50-core.
+    profiles = [
+        (n, p.parts, Counter(naive_hooks(p.parts))) for n, p in t_cores_up_to(n_max, t)
+    ]
+    for f in FILTERS:
+        want = [Counter() for _ in range(n_max + 1)]
+        want_counts = [0] * (n_max + 1)
+        for n, parts, hooks in profiles:
+            if f.passes(parts):
+                want_counts[n] += 1
+                want[n].update(hooks)
+        assert hook_count_table(t, n_max, f) == (want, want_counts), f
+        tables, core_counts = hook_count_table(t, n_max, f, ks=range(1, 9))
+        assert core_counts == want_counts
+        assert tables == [Counter({k: c for k, c in w.items() if k <= 8}) for w in want]
+        for n in range(min(n_max, 40) + 1):
+            for k in range(1, 9):
+                assert total_hook_count(n, t, k, f) == want[n][k], (f, n, k)

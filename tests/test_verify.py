@@ -1,7 +1,7 @@
 import pytest
 
-from corehooks.generate import PartFilter, t_cores_up_to
-from corehooks.hookstats import FAILS
+from corehooks.generate import PartFilter, t_cores_of, t_cores_up_to
+from corehooks.hookstats import FAILS, hook_count_table
 from corehooks.partition import Cell, Partition
 from corehooks.verify import (
     CHECKS,
@@ -207,26 +207,43 @@ def test_bead_vector_oracle_agrees_with_pruned_enumeration(t):
         assert swept[n] == {parts for parts, _ in by_n[n]}, (t, n)
 
 
+def _walker_totals(n, t, ks):
+    """(number of t-cores of n, total k-hooks for each k) from the
+    part-by-part walker with hooks counted box by box on the diagram: a
+    route that shares no step with the package's charge-vector counts."""
+    hooks = [naive_hooks(p.parts) for p in t_cores_of(n, t)]
+    return len(hooks), tuple(sum(h.count(k) for h in hooks) for k in ks)
+
+
 def test_5core_chain_reversal_at_93_confirmed_independently():
     # the scanner finds the first reversal of the 1-hook/3-hook link at
-    # n = 93; these exact totals are confirmed here through the bead-vector
-    # oracle with bead-set hook counting, with no shared code path
-    by_n = bead_vector_tcores(93, 5)
-    assert len(by_n[93]) == 46
-    tot1 = sum(bead_hook_count(beads, 1) for _, beads in by_n[93])
-    tot3 = sum(bead_hook_count(beads, 3) for _, beads in by_n[93])
-    assert (tot1, tot3) == (382, 384)
-    assert tot1 < tot3
-
-    from corehooks.hookstats import hook_count_table
-
+    # n = 93; the walker with diagram hooks confirms the totals
+    assert _walker_totals(93, 5, (1, 3, 6)) == (46, (382, 384, 284))
     tables, core_counts = hook_count_table(5, 93, ks=(1, 3, 6))
     assert core_counts[93] == 46
-    assert tables[93][1] == 382
-    assert tables[93][3] == 384
-    assert tables[93][6] == 284
+    assert (tables[93][1], tables[93][3], tables[93][6]) == (382, 384, 284)
     fails = scan_conjecture_5core(93)
     assert [r.n for r in fails] == [93]
+
+
+# every failure of the conjectured 5-core chain 1 >= 3 >= 6 for n <= 450,
+# as (1-hooks, 3-hooks, 6-hooks); all three reverse the first link
+CONJ15_FAILS_TO_450 = {
+    93: (382, 384, 284),
+    213: (1360, 1368, 1130),
+    445: (4168, 4290, 3628),
+}
+
+
+def test_conj15_failures_through_450():
+    fails = scan_conjecture_5core(450)
+    got = {r.n: tuple(r.values[(5, k)] for k in (1, 3, 6)) for r in fails}
+    assert got == CONJ15_FAILS_TO_450
+    assert [r.n for r in fails] == sorted(CONJ15_FAILS_TO_450)
+
+
+def test_conj15_reversal_at_213_through_walker():
+    assert _walker_totals(213, 5, (1, 3, 6)) == (106, CONJ15_FAILS_TO_450[213])
 
 
 def test_run_check_registry():
