@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
-from .generate import EMPTY_FILTER, PartFilter, partitions_of, t_cores_of
-from .hookstats import FAILS, bias_table, total_hook_count
+from .generate import EMPTY_FILTER, PartFilter, iter_partition_parts, t_cores_of
+from .hookstats import FAILS, _hook_counts_at, bias_table, total_hook_count
+from .partition import parts_text
 from .qseries import core_count_series
 from .quadform import odd_representation
 from .verify import CHECKS, run_check, bias_records_json
@@ -205,21 +206,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enum(cfg: RunConfig) -> int:
     if cfg.t == 0:
-        stream = partitions_of(cfg.n_lo, cfg.filter)
+        # part tuples straight from the stream: a Partition per line would
+        # cost more than the line itself
+        lines = map(parts_text, filter(cfg.filter.passes, iter_partition_parts(cfg.n_lo)))
     else:
         if cfg.t < 2:
             raise UsageError(f"t must be 0 or at least 2, got {cfg.t}")
-        stream = t_cores_of(cfg.n_lo, cfg.t, cfg.filter)
-    _write_output(_line_chunks(stream), cfg.out)
+        lines = map(str, t_cores_of(cfg.n_lo, cfg.t, cfg.filter))
+    _write_output(_line_chunks(lines), cfg.out)
     return 0
 
 
-def _line_chunks(items):
-    """The items' text forms, one per line, joined 4096 lines to a chunk so
-    that memory stays bounded however many items there are."""
-    it = iter(items)
+def _line_chunks(lines):
+    """The lines, each ended by a newline, joined 4096 to a chunk so that
+    memory stays bounded however many lines there are."""
+    it = iter(lines)
     while batch := list(islice(it, 4096)):
-        yield "".join(f"{p}\n" for p in batch)
+        yield "\n".join(batch) + "\n"
 
 
 def _cmd_count(cfg: RunConfig) -> int:
@@ -232,8 +235,8 @@ def _cmd_count(cfg: RunConfig) -> int:
         return 0
     rows = []
     for n in range(cfg.n_lo, cfg.n_hi + 1):
-        for k in cfg.ks:
-            rows.append((n, cfg.t, k, total_hook_count(n, cfg.t, k, cfg.filter)))
+        counts = _hook_counts_at(n, cfg.t, cfg.ks, cfg.filter)
+        rows += [(n, cfg.t, k, counts[k]) for k in cfg.ks]
     if cfg.fmt == "json":
         payload = [
             {"n": n, "t": t, "k": k, "value": v} for n, t, k, v in rows

@@ -43,7 +43,11 @@ class PartFilter:
         return value >= self.min_part and value not in self.excluded
 
     def passes(self, parts: tuple[int, ...]) -> bool:
-        return all(self.allows(p) for p in parts)
+        """True when every part is allowed.  parts is weakly decreasing,
+        so its last part is the smallest."""
+        return not parts or (
+            parts[-1] >= self.min_part and self.excluded.isdisjoint(parts)
+        )
 
 
 EMPTY_FILTER = PartFilter()

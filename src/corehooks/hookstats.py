@@ -72,13 +72,21 @@ def total_hook_count(
 ) -> int:
     """Total number of k-hooks over all t-core partitions of n whose parts
     pass the filter."""
+    return _hook_counts_at(n, t, (k,), f)[k]
+
+
+def _hook_counts_at(n: int, t: int, ks: Sequence[int], f: PartFilter) -> Counter:
+    """Total number of k-hooks for each k in ks over the t-core partitions
+    of n that pass the filter, in one pass over the charge vectors of size
+    n.  A k with no hooks reads 0."""
     te = _engine_t(t, n)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
     tables, _ = _abacus.hook_table(
-        _abacus.charge_vectors(te, n, True), te, _abacus.part_test(f, te, n), (k,)
+        _abacus.charge_vectors(te, n, True), te, _abacus.part_test(f, te, n), ks
     )
-    return tables[n][k] if n in tables else 0
+    return tables.get(n, Counter())
 
 
 def hook_count_table(

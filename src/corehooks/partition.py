@@ -60,6 +60,11 @@ def hook_lengths_of(parts: tuple[int, ...]) -> list[int]:
     return out
 
 
+def parts_text(parts: tuple[int, ...]) -> str:
+    """The text form of a part tuple, e.g. "[6,3,2,1]" or "[]"."""
+    return "[" + ",".join(map(str, parts)) + "]"
+
+
 class Partition:
     """A weakly decreasing sequence of positive integer parts.
 
@@ -127,7 +132,7 @@ class Partition:
         return f"Partition({list(self._parts)})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self._parts) + "]"
+        return parts_text(self._parts)
 
     def is_valid_cell(self, cell: tuple[int, int]) -> bool:
         row, col = cell

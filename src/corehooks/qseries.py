@@ -1,15 +1,20 @@
 """Exact truncated formal power series in q, with integer coefficients.
 
 These series provide generating-function oracles that are computed without
-ever enumerating a partition: the t-core counting series as an eta-style
+ever enumerating a partition: the t-core counting series of the eta-style
 product, the triangular-number indicator, and a triple series over shifted
-triangular numbers.  Coefficients are Python ints, so arithmetic is exact
-at any size.
+triangular numbers.  The t-core series comes from the logarithmic
+derivative of its product, a recurrence whose terms are divisor sums and
+the coefficients themselves, so every intermediate integer stays of
+polynomial size.  Coefficients are Python ints, so arithmetic is exact at
+any size.
 """
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from itertools import repeat
+from math import isqrt
+from operator import add, mul, sub
 from typing import Mapping
 
 
@@ -80,33 +85,46 @@ class TruncatedSeries:
 def core_count_series(t: int, order: int) -> TruncatedSeries:
     """Series whose q^n coefficient counts the t-core partitions of n.
 
-    Expands the product over j >= 1 of (1 - q^(t*j))^t / (1 - q^j).  Each
-    factor is applied exactly: the numerator as a signed binomial
-    polynomial, the denominator as multiplication by the geometric series
-    inverse of (1 - q^j).  Factors with j > order are 1 modulo truncation.
+    The series is F = product over j >= 1 of (1 - q^(t*j))^t / (1 - q^j).
+    Its logarithmic derivative q*F'/F is the sum of b_m * q^m with
+    b_m = sigma(m) - t^2 * sigma(m/t) * [t divides m], sigma the sum of
+    divisors, so the coefficients satisfy
+
+        n * c_n = sum over m = 1..n of b_m * c_(n-m),   c_0 = 1.
+
+    Nothing is enumerated: sigma comes from a divisor sieve, and each
+    coefficient is one exact division of a sum of products.
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for j in range(1, order + 1):
-        step = t * j
-        if step <= order:
-            # multiply by (1 - q^(t*j))^t, highest terms first so reads
-            # stay ahead of writes
-            for n in range(order, step - 1, -1):
-                acc = c[n]
-                sign = -1
-                for i in range(1, min(t, n // step) + 1):
-                    acc += sign * comb(t, i) * c[n - step * i]
-                    sign = -sign
-                c[n] = acc
-        # multiply by 1 / (1 - q^j)
-        for n in range(j, order + 1):
-            c[n] += c[n - j]
-    return TruncatedSeries(order, c)
+    sigma = [0] * (order + 1)
+    for d in range(1, order + 1):
+        sigma[d::d] = map(add, sigma[d::d], repeat(d))
+    b = sigma[:]
+    b[t::t] = map(sub, b[t::t], map(mul, sigma[1 : order // t + 1], repeat(t * t)))
+    return TruncatedSeries(order, _from_log_derivative(b))
+
+
+def _from_log_derivative(b: list[int]) -> list[int]:
+    """The coefficients c_0 = 1, c_1, ... of the series whose logarithmic
+    derivative q*F'/F has the coefficients b (b[0] is not used), through
+    n * c_n = sum over m = 1..n of b_m * c_(n-m).  Raises ArithmeticError
+    when a division by n is not exact, so the series has no integer
+    coefficients."""
+    order = len(b) - 1
+    rev = b[::-1]  # rev[order - m] = b_m
+    c = [1]
+    for n in range(1, order + 1):
+        # b_n * c_0 + b_(n-1) * c_1 + ... + b_1 * c_(n-1), summed in C
+        q, r = divmod(sum(map(mul, c, rev[order - n :])), n)
+        if r:
+            raise ArithmeticError(
+                f"coefficient {n} is not an integer: remainder {r} mod {n}"
+            )
+        c.append(q)
+    return c
 
 
 def triangular_indicator_series(order: int) -> TruncatedSeries:

@@ -11,7 +11,9 @@ supplies a second 4-core partition of every triangular number beyond 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
+from operator import sub
 
 from .generate import count_t_cores
 from .qseries import triple_triangular_series
@@ -114,29 +116,36 @@ def representable_flags(n_max: int) -> list[bool]:
 
 def odd_representation(h: int) -> OddRepresentation:
     """The lexicographically smallest all-odd (x, y, z) representing
-    (2h+1)^2 + 4, packaged with m = (x-1)/2, r = (y-1)/2, s = (z-1)/2."""
+    (2h+1)^2 + 4, packaged with m = (x-1)/2, r = (y-1)/2, s = (z-1)/2.
+
+    For each odd x, with half = ((2h+1)^2 + 4 - x^2)/2, the odd y run up
+    from 1 and half - y^2 is looked up in the set of odd squares.  If
+    (y, z) solves y^2 + z^2 = half, so does (z, y), so the smallest y of a
+    solution has y <= z and the search for y stops at 2y^2 > half.
+    """
     if h < 2:
         raise ValueError(f"h must be at least 2, got {h}")
     target = (2 * h + 1) ** 2 + 4
-    x = 1
-    while x * x <= target:
+    # y^2 and z^2 are at most half <= target / 2
+    odd_squares = [v * v for v in range(1, isqrt(target // 2) + 1, 2)]
+    is_odd_square = set(odd_squares).__contains__
+    for x in range(1, isqrt(target) + 1, 2):
         half = (target - x * x) // 2  # target - x^2 is 4 mod 8, so exact
-        y = 1
-        while y * y <= half:
-            z2 = half - y * y
-            z = isqrt(z2)
-            if z * z == z2 and z % 2 == 1:
-                return OddRepresentation(
-                    h=h,
-                    x=x,
-                    y=y,
-                    z=z,
-                    m=(x - 1) // 2,
-                    r=(y - 1) // 2,
-                    s=(z - 1) // 2,
-                )
-            y += 2
-        x += 2
+        # the first odd square y^2 <= half / 2 leaving an odd square z^2,
+        # found in C
+        y_squares = odd_squares[: (isqrt(half // 2) + 1) // 2]
+        z2 = next(filter(is_odd_square, map(sub, repeat(half), y_squares)), None)
+        if z2 is not None:
+            y, z = isqrt(half - z2), isqrt(z2)
+            return OddRepresentation(
+                h=h,
+                x=x,
+                y=y,
+                z=z,
+                m=(x - 1) // 2,
+                r=(y - 1) // 2,
+                s=(z - 1) // 2,
+            )
     raise RuntimeError(f"no all-odd representation found for h={h}")
 
 

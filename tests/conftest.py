@@ -50,6 +50,29 @@ def naive_hook_count(parts: tuple[int, ...], k: int) -> int:
     return sum(1 for h in naive_hooks(parts) if h == k)
 
 
+def naive_core_series(t: int, order: int) -> list[int]:
+    """Coefficients up to q^order of the product over j >= 1 of
+    (1 - q^(t*j))^t / (1 - q^j), multiplied out factor by factor as
+    truncated polynomials: (1 - q^(t*j)) t times, and 1 / (1 - q^j) as the
+    geometric series 1 + q^j + q^(2j) + ...  Meant for order <= 300."""
+
+    def times(poly, factor):
+        # factor is a list of (exponent, coefficient) pairs
+        out = [0] * (order + 1)
+        for e, c in factor:
+            for i in range(order + 1 - e):
+                out[i + e] += c * poly[i]
+        return out
+
+    poly = [1] + [0] * order
+    for j in range(1, order + 1):
+        poly = times(poly, [(e, 1) for e in range(0, order + 1, j)])
+        if t * j <= order:
+            for _ in range(t):
+                poly = times(poly, [(0, 1), (t * j, -1)])
+    return poly
+
+
 def partition_parts(max_n: int = 40, max_len: int = 10):
     """Hypothesis strategy producing valid part tuples."""
     return (

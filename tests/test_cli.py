@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from corehooks import _abacus
 from corehooks.cli import main
 from corehooks.generate import partitions_of, t_cores_of
 from corehooks.partition import hook_lengths_of
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+WORKLOADS = REFERENCE.with_name("workloads.json")
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,20 @@ def test_count_with_t_above_n_matches_walker(capsys, t):
     assert out.splitlines() == ["n,t,k,value"] + want
 
 
+def test_count_makes_one_pass_per_n(capsys, monkeypatch):
+    calls = []
+    real = _abacus.charge_vectors
+
+    def counted(t, n_max, exact):
+        calls.append((n_max, exact))
+        return real(t, n_max, exact)
+
+    monkeypatch.setattr(_abacus, "charge_vectors", counted)
+    code, _, _ = run_cli(capsys, "count", "--t", "60", "--k", "2,7,30", "--n", "27..29")
+    assert code == 0
+    assert calls == [(27, True), (28, True), (29, True)]
+
+
 def test_conj_scan_with_t_above_n(capsys):
     code, out, err = run_cli(
         capsys, "conj-scan", "--t", "2000", "--ks", "1,2", "--relations", ">=",
@@ -92,11 +108,18 @@ def test_conj_scan_with_t_above_n(capsys):
     assert rows == [[h[1], h[2]] for h in hooks]
 
 
-def _tiny_pins():
-    return sorted(json.loads(REFERENCE.read_text())["pins"]["tiny"].items())
+def _pins():
+    """Every tiny pin of bench/reference.json, and the full pins of the
+    nocore workload (its invocations are listed in bench/workloads.json)."""
+    pins = json.loads(REFERENCE.read_text())["pins"]
+    nocore = json.loads(WORKLOADS.read_text())["nocore"]["full"]
+    full = {" ".join(spec["argv"]) for spec in nocore}
+    return sorted(pins["tiny"].items()) + sorted(
+        (k, v) for k, v in pins["full"].items() if k in full
+    )
 
 
-@pytest.mark.parametrize("invocation,pin", _tiny_pins(), ids=[k for k, _ in _tiny_pins()])
+@pytest.mark.parametrize("invocation,pin", _pins(), ids=[k for k, _ in _pins()])
 def test_output_matches_benchmark_pin(capsys, tmp_path, monkeypatch, invocation, pin):
     # the benchmark pins exit code and stdout of these invocations; a change
     # in the CLI's bytes fails here before it fails the benchmark

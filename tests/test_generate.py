@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from corehooks.generate import (
     EnumStats,
@@ -11,7 +12,7 @@ from corehooks.generate import (
 )
 from corehooks.partition import Partition
 
-from conftest import naive_is_t_core, naive_partitions
+from conftest import naive_is_t_core, naive_partitions, partition_parts
 
 C1 = PartFilter(excluded=frozenset({1}))
 C12 = PartFilter(excluded=frozenset({1, 2}))
@@ -34,6 +35,17 @@ def test_partitions_of_excluding_ones():
 def test_partitions_of_matches_naive():
     for n in range(11):
         assert [p.parts for p in partitions_of(n)] == naive_partitions(n)
+
+
+@given(
+    partition_parts(),
+    st.frozensets(st.integers(min_value=1, max_value=45), max_size=5),
+    st.integers(min_value=1, max_value=45),
+)
+def test_passes_is_allows_on_every_part(parts, excluded, min_part):
+    f = PartFilter(excluded=excluded, min_part=min_part)
+    assert f.passes(parts) == all(f.allows(p) for p in parts)
+    assert f.passes(())
 
 
 def test_partitions_of_min_part():

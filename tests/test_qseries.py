@@ -1,15 +1,22 @@
+from collections import Counter
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from corehooks import _abacus
 from corehooks.generate import count_t_cores
 from corehooks.qseries import (
     TruncatedSeries,
+    _from_log_derivative,
     core_count_series,
     is_triangular,
     triangular_indicator_series,
     triple_triangular_series,
     verify_identity,
 )
+
+from conftest import naive_core_series
 
 
 def test_mul_order_mismatch():
@@ -66,6 +73,11 @@ def test_identity_4core_triple():
     assert ok and idx is None
 
 
+def test_identity_4core_triple_to_5000():
+    ok, idx = verify_identity(core_count_series(4, 5000), triple_triangular_series(5000))
+    assert ok and idx is None
+
+
 def test_identity_mismatch_reports_first_index():
     ok, idx = verify_identity(triangular_indicator_series(10), core_count_series(3, 10))
     assert not ok and idx == 2  # two 3-cores of 2, indicator gives 0
@@ -76,6 +88,31 @@ def test_coefficients_match_enumeration():
         s = core_count_series(t, 30)
         for n in range(31):
             assert s[n] == count_t_cores(n, t), (t, n)
+
+
+@pytest.mark.parametrize("t", range(2, 13))
+def test_core_series_matches_product_expansion(t):
+    # the product multiplied out as polynomials, so t > 7 is covered too
+    assert list(core_count_series(t, 300).coeffs) == naive_core_series(t, 300)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_core_series_matches_abacus_through_2000(t):
+    sizes = Counter(map(itemgetter(0), _abacus.charge_vectors(t, 2000, False)))
+    assert list(core_count_series(t, 2000).coeffs) == [sizes[n] for n in range(2001)]
+
+
+@pytest.mark.parametrize("t,n,cores", [(6, 300, 1749), (7, 200, 6375), (8, 150, 13229), (9, 120, 26210)])
+def test_core_series_matches_abacus_at_one_size(t, n, cores):
+    assert core_count_series(t, n)[n] == cores
+    assert sum(1 for _ in _abacus.charge_vectors(t, n, True)) == cores
+
+
+def test_recurrence_division_must_be_exact():
+    # q*F'/F = q gives F = exp(q), whose q^2 coefficient is 1/2
+    assert _from_log_derivative([0, 1]) == [1, 1]
+    with pytest.raises(ArithmeticError, match="coefficient 2"):
+        _from_log_derivative([0, 1, 0])
 
 
 def test_coefficients_nonnegative():
