@@ -17,9 +17,14 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
-from .generate import EMPTY_FILTER, PartFilter, iter_partition_parts, t_cores_of
+from .generate import (
+    _CHUNK_LINES,
+    EMPTY_FILTER,
+    PartFilter,
+    partition_text_chunks,
+    t_cores_of,
+)
 from .hookstats import FAILS, _hook_counts_at, bias_table, total_hook_count
-from .partition import parts_text
 from .qseries import core_count_series
 from .quadform import odd_representation
 from .verify import CHECKS, run_check, bias_records_json
@@ -206,14 +211,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enum(cfg: RunConfig) -> int:
     if cfg.t == 0:
-        # part tuples straight from the stream: a Partition per line would
-        # cost more than the line itself
-        lines = map(parts_text, filter(cfg.filter.passes, iter_partition_parts(cfg.n_lo)))
+        chunks = partition_text_chunks(cfg.n_lo, cfg.filter)
     else:
         if cfg.t < 2:
             raise UsageError(f"t must be 0 or at least 2, got {cfg.t}")
-        lines = map(str, t_cores_of(cfg.n_lo, cfg.t, cfg.filter))
-    _write_output(_line_chunks(lines), cfg.out)
+        chunks = _line_chunks(map(str, t_cores_of(cfg.n_lo, cfg.t, cfg.filter)))
+    _write_output(chunks, cfg.out)
     return 0
 
 
@@ -221,7 +224,7 @@ def _line_chunks(lines):
     """The lines, each ended by a newline, joined 4096 to a chunk so that
     memory stays bounded however many lines there are."""
     it = iter(lines)
-    while batch := list(islice(it, 4096)):
+    while batch := list(islice(it, _CHUNK_LINES)):
         yield "\n".join(batch) + "\n"
 
 

@@ -18,6 +18,7 @@ hook of length t, so runs are capped at t - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterator
 
 from .partition import Partition
@@ -106,6 +107,102 @@ def partitions_of(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[Partition]:
     for parts in iter_partition_parts(n):
         if f.passes(parts):
             yield Partition._unchecked(parts, n)
+
+
+# Remainders up to this size are finished from a table of texts: 3,810
+# strings when every part is allowed.
+_SUFFIX_MAX = 14
+
+# Lines per chunk of the text streams that enum writes.
+_CHUNK_LINES = 4096
+
+
+def _min_caps(n: int, f: PartFilter) -> list[int]:
+    """caps[r], for 0 <= r <= n: the smallest largest part among the
+    partitions of r into allowed parts, n + 1 when there is none.  r has
+    such a partition with parts <= k exactly when caps[r] <= k."""
+    caps = [0] + [n + 1] * n
+    m = f.min_part
+    excluded = f.excluded
+    for r in range(m, n + 1):
+        # at most r // m parts of size >= m, so the largest is at least
+        # this; with no exclusions it is exactly this
+        v = -(-r // (r // m))
+        while v <= r and (v in excluded or caps[r - v] > v):
+            v += 1
+        if v <= r:
+            caps[r] = v
+    return caps
+
+
+def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]:
+    """The text lines ("[6,3,2,1]\\n") of the partitions of n passing the
+    filter, in the order and with the bytes of parts_text over
+    partitions_of(n, f), joined about 4096 lines to a chunk.  No chunk is
+    empty.
+
+    Only allowed part values are ever tried, and a part is placed only
+    when the remainder still has a partition into allowed parts no larger
+    than it (_min_caps), so every prefix walked ends in at least one line
+    and a filtered n costs its output, not p(n).  Remainders of at most
+    _SUFFIX_MAX are finished from a table of suffix texts ",a,b]\\n" built
+    once per call; longer prefixes are walked with an explicit stack, so
+    nothing recurses however many parts a partition has.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if n == 0:
+        yield "[]\n"  # the empty partition passes every filter
+        return
+    caps = _min_caps(n, f)
+    lo = f.min_part
+    excluded = f.excluded
+    strs = [str(v) for v in range(n + 1)]
+
+    def allowed_down_from(c: int) -> Iterator[int]:
+        values = range(c, lo - 1, -1)
+        return filterfalse(excluded.__contains__, values) if excluded else iter(values)
+
+    # suffix[r][k]: the texts ",a,b]\n" of the partitions of r into allowed
+    # parts <= k, reverse-lexicographic
+    top = min(n, _SUFFIX_MAX)
+    suffix = [[["]\n"]]]
+    for r in range(1, top + 1):
+        row = [[]]
+        for k in range(1, r + 1):
+            below = row[k - 1]
+            if f.allows(k):
+                head = "," + strs[k]
+                below = [head + s for s in suffix[r - k][min(k, r - k)]] + below
+            row.append(below)
+        suffix.append(row)
+
+    # Each frame is (head length, remainder, part values to try).  text
+    # holds the head of the newest frame, which begins with the head of
+    # every frame below it, so one string serves the whole stack.
+    text = "["
+    stack = [(1, n, allowed_down_from(n))]
+    lines: list[str] = []
+    while stack:
+        head_len, r, values = stack[-1]
+        for v in values:
+            rest = r - v
+            if caps[rest] > v:
+                continue
+            line_head = text[:head_len] + strs[v]
+            if rest <= _SUFFIX_MAX:
+                lines += map(line_head.__add__, suffix[rest][min(v, rest)])
+                if len(lines) >= _CHUNK_LINES:
+                    yield "".join(lines)
+                    lines = []
+            else:
+                text = line_head + ","
+                stack.append((len(text), rest, allowed_down_from(min(v, rest))))
+                break
+        else:
+            stack.pop()
+    if lines:
+        yield "".join(lines)
 
 
 # Frame slots for the iterative t-core walker.

@@ -3,18 +3,19 @@
 These series provide generating-function oracles that are computed without
 ever enumerating a partition: the t-core counting series of the eta-style
 product, the triangular-number indicator, and a triple series over shifted
-triangular numbers.  The t-core series comes from the logarithmic
-derivative of its product, a recurrence whose terms are divisor sums and
-the coefficients themselves, so every intermediate integer stays of
-polynomial size.  Coefficients are Python ints, so arithmetic is exact at
-any size.
+triangular numbers.  The t-core series is its product divided by
+Euler's pentagonal series: O(sqrt(n)) additions per coefficient, and
+every intermediate integer is a core count.  The numerator's coefficients
+come from a logarithmic-derivative recurrence with an exact-division
+check.  Coefficients are Python ints, so arithmetic is exact at any size.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import repeat
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Mapping
 
 
@@ -86,25 +87,51 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
     """Series whose q^n coefficient counts the t-core partitions of n.
 
     The series is F = product over j >= 1 of (1 - q^(t*j))^t / (1 - q^j).
-    Its logarithmic derivative q*F'/F is the sum of b_m * q^m with
-    b_m = sigma(m) - t^2 * sigma(m/t) * [t divides m], sigma the sum of
-    divisors, so the coefficients satisfy
+    Multiplied by Euler's product (q;q) = product of (1 - q^j), the sum
+    over all integers k of (-1)^k * q^(k(3k-1)/2), it becomes
+    G = (q^t;q^t)^t, so with the pentagonal numbers
 
-        n * c_n = sum over m = 1..n of b_m * c_(n-m),   c_0 = 1.
+        c_n = g_n + sum over k >= 1 of (-1)^(k+1)
+                    * (c_(n - k(3k-1)/2) + c_(n - k(3k+1)/2)),
 
-    Nothing is enumerated: sigma comes from a divisor sieve, and each
-    coefficient is one exact division of a sum of products.
+    terms with a negative index left out.  g_n is the q^(n/t) coefficient
+    of (q;q)^t when t divides n and 0 otherwise; those come from the
+    logarithmic derivative -t * sum of sigma(m) * q^m of (q;q)^t, sigma
+    the sum of divisors (_from_log_derivative, with its exact-division
+    check), for m <= order / t only.
+
+    Nothing is enumerated, and each c_n costs O(sqrt(n)) additions, so the
+    series costs O(order^1.5) plus O((order / t)^2) for g.  Every
+    intermediate integer is a core count: for t > order the counts are
+    the partition numbers p(n).
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    sigma = [0] * (order + 1)
-    for d in range(1, order + 1):
+    top = order // t
+    sigma = [0] * (top + 1)
+    for d in range(1, top + 1):
         sigma[d::d] = map(add, sigma[d::d], repeat(d))
-    b = sigma[:]
-    b[t::t] = map(sub, b[t::t], map(mul, sigma[1 : order // t + 1], repeat(t * t)))
-    return TruncatedSeries(order, _from_log_derivative(b))
+    g = [0] * (order + 1)
+    g[::t] = _from_log_derivative([-t * s for s in sigma])
+    # the pentagonal numbers k(3k-1)/2 and k(3k+1)/2, split by the sign of
+    # their term: k odd adds, k even subtracts
+    adds: list[int] = []
+    subs: list[int] = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        (adds if k % 2 else subs).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+        k += 1
+    c: list[int] = []
+    get = c.__getitem__
+    for n in range(order + 1):
+        c.append(
+            g[n]
+            + sum(map(get, map(n.__sub__, adds[: bisect_right(adds, n)])))
+            - sum(map(get, map(n.__sub__, subs[: bisect_right(subs, n)])))
+        )
+    return TruncatedSeries(order, c)
 
 
 def _from_log_derivative(b: list[int]) -> list[int]:

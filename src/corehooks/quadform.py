@@ -11,7 +11,7 @@ supplies a second 4-core partition of every triangular number beyond 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from math import isqrt
 from operator import sub
 
@@ -114,6 +114,24 @@ def representable_flags(n_max: int) -> list[bool]:
     return [bool(v) for v in flags]
 
 
+# The odd squares 1, 9, 25, ... in ascending order and as a set, shared by
+# every odd_representation call.  The table is rebuilt at twice the size a
+# target needs, so across calls it holds O(sqrt(target)) ints and is built
+# O(log target) times.  It is rebound whole, never changed in place, so a
+# reader always sees a list and a set that agree.
+_odd_squares: tuple[list[int], frozenset[int]] = ([1], frozenset({1}))
+
+
+def _odd_squares_upto(limit: int) -> tuple[list[int], frozenset[int]]:
+    """The ascending odd squares, at least every one <= limit, and their set."""
+    global _odd_squares
+    table = _odd_squares
+    if table[0][-1] < limit:
+        squares = [v * v for v in range(1, isqrt(2 * limit) + 1, 2)]
+        table = _odd_squares = (squares, frozenset(squares))
+    return table
+
+
 def odd_representation(h: int) -> OddRepresentation:
     """The lexicographically smallest all-odd (x, y, z) representing
     (2h+1)^2 + 4, packaged with m = (x-1)/2, r = (y-1)/2, s = (z-1)/2.
@@ -121,19 +139,23 @@ def odd_representation(h: int) -> OddRepresentation:
     For each odd x, with half = ((2h+1)^2 + 4 - x^2)/2, the odd y run up
     from 1 and half - y^2 is looked up in the set of odd squares.  If
     (y, z) solves y^2 + z^2 = half, so does (z, y), so the smallest y of a
-    solution has y <= z and the search for y stops at 2y^2 > half.
+    solution has y <= z and the search for y stops at 2y^2 > half.  An
+    odd square is 1 mod 8, so a sum of two is 2 mod 8; any x whose half is
+    not is skipped without a search.
     """
     if h < 2:
         raise ValueError(f"h must be at least 2, got {h}")
     target = (2 * h + 1) ** 2 + 4
     # y^2 and z^2 are at most half <= target / 2
-    odd_squares = [v * v for v in range(1, isqrt(target // 2) + 1, 2)]
-    is_odd_square = set(odd_squares).__contains__
+    odd_squares, odd_square_set = _odd_squares_upto(target // 2)
+    is_odd_square = odd_square_set.__contains__
     for x in range(1, isqrt(target) + 1, 2):
         half = (target - x * x) // 2  # target - x^2 is 4 mod 8, so exact
+        if half % 8 != 2:
+            continue
         # the first odd square y^2 <= half / 2 leaving an odd square z^2,
         # found in C
-        y_squares = odd_squares[: (isqrt(half // 2) + 1) // 2]
+        y_squares = islice(odd_squares, (isqrt(half // 2) + 1) // 2)
         z2 = next(filter(is_odd_square, map(sub, repeat(half), y_squares)), None)
         if z2 is not None:
             y, z = isqrt(half - z2), isqrt(z2)

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -151,6 +152,66 @@ def test_enum_all_partitions(capsys):
     code, out, _ = run_cli(capsys, "enum", "--n", "4")
     assert code == 0
     assert out.splitlines() == ["[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
+
+
+@pytest.mark.parametrize(
+    "argv,expect",
+    [
+        (["enum", "--n", "3", "--min-part", "5"], ""),
+        (["enum", "--n", "20", "--min-part", "21"], ""),
+        (["enum", "--n", "0", "--min-part", "3"], "[]\n"),
+    ],
+)
+def test_enum_with_no_partition_prints_nothing(capsys, argv, expect):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, expect, "")
+
+
+def test_filtered_enum_costs_its_output(capsys):
+    # every partition of 400 into parts >= 150 has at most two parts; the
+    # walk never goes through the other p(400) ~ 6.7e18 partitions
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "enum", "--n", "400", "--min-part", "150")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.splitlines() == ["[400]"] + [f"[{a},{400 - a}]" for a in range(250, 199, -1)]
+    assert len(out.splitlines()) == 52
+    assert elapsed < 1.0
+
+
+def test_enum_of_large_n_streams_into_closed_pipe():
+    # p(2000) has 45 digits: only a streaming enum can print its first lines
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corehooks", "enum", "--n", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"[2000]\n"
+    assert proc.stdout.readline() == b"[1999,1]\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+# stdout SHA-256 recorded before enum --n wrote its text from a suffix table
+# and before the t-core series divided by the pentagonal series; the
+# benchmark pins cover only unfiltered enum and t = 9
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        ("enum --n 40 --exclude 1,3", "cb96f1d2eb648ce68aec9ffbad58f2a9402ed8e4f1fabf037fa8d59ee02a09ce"),
+        ("enum --n 40 --min-part 4", "18ebaefafd45845f0a2cbe0458d3029a3a63687dfc89c128c5f3506387098a7e"),
+        ("series --t 2 --order 3000 --format json", "3a09b0022bc96ea01928afcf274c07592d0526393e3462f1415e1efbfea5a333"),
+        ("series --t 4 --order 3000 --format json", "418823c13887815233bdbb47727f0f427c0f6b9c7c50642fbfa8a59e386a6f1a"),
+        ("series --t 13 --order 3000 --format json", "e8c70227b5c894a8755fc7e0c8648ccf371afeb49a9c0087f2843c093b2c5f09"),
+    ],
+)
+def test_output_matches_recorded_sha256(capsys, argv, sha256):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class WriteRecorder:

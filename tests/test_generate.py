@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,11 +9,12 @@ from corehooks.generate import (
     PartFilter,
     count_t_cores,
     iter_partition_parts,
+    partition_text_chunks,
     partitions_of,
     t_cores_of,
     t_cores_up_to,
 )
-from corehooks.partition import Partition
+from corehooks.partition import Partition, parts_text
 
 from conftest import naive_is_t_core, naive_partitions, partition_parts
 
@@ -153,3 +157,71 @@ def test_emitted_partitions_are_valid():
 def test_iter_partition_parts_rejects_negative():
     with pytest.raises(ValueError):
         list(iter_partition_parts(-1))
+
+
+def _text_oracle(n, f):
+    """The lines of partition_text_chunks from the part tuple stream."""
+    return "".join(parts_text(p.parts) + "\n" for p in partitions_of(n, f))
+
+
+def _chunks_checked(n, f):
+    chunks = list(partition_text_chunks(n, f))
+    assert all(chunks), "an empty chunk was yielded"
+    # about 4096 lines each; a table leaf adds at most p(14) = 135 more
+    assert all(c.count("\n") < 4096 + 135 for c in chunks)
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [PartFilter(), C1, C12, PartFilter(excluded=frozenset({2, 5})), PartFilter(min_part=3)],
+    ids=["all", "no1", "no12", "no25", "min3"],
+)
+def test_partition_text_matches_parts_text(f):
+    # n = 0..32 crosses the suffix table bound of 14
+    for n in range(33):
+        assert _chunks_checked(n, f) == _text_oracle(n, f), n
+
+
+def test_partition_text_with_every_part_excluded():
+    for n in range(1, 33):
+        f = PartFilter(excluded=frozenset(range(1, n + 1)))
+        assert list(partition_text_chunks(n, f)) == [], n
+    assert list(partition_text_chunks(0, PartFilter(min_part=3))) == ["[]\n"]
+
+
+@given(
+    st.integers(min_value=0, max_value=28),
+    st.frozensets(st.integers(min_value=1, max_value=12)),
+    st.integers(min_value=1, max_value=5),
+)
+def test_partition_text_matches_parts_text_sampled(n, excluded, min_part):
+    f = PartFilter(excluded=excluded, min_part=min_part)
+    assert _chunks_checked(n, f) == _text_oracle(n, f)
+
+
+def test_partition_text_walks_long_prefixes_without_recursion():
+    # only parts 1 and 3000 are allowed: a run of 2999 ones is one prefix,
+    # three times the default recursion limit
+    f = PartFilter(excluded=frozenset(range(2, 3000)))
+    assert "".join(partition_text_chunks(3000, f)) == "[3000]\n[" + ",".join(["1"] * 3000) + "]\n"
+
+
+def test_partition_text_skips_dead_prefixes():
+    # only even parts: no prefix of an odd n can be completed, so nothing
+    # is walked; without that cut the walk would go through p(100) ~ 1.9e8
+    # prefixes, so it runs in a child process with a time limit
+    odd = ",".join(map(str, range(1, 202, 2)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corehooks", "enum", "--n", "201", "--exclude", odd],
+        capture_output=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    f = PartFilter(excluded=frozenset(range(1, 202, 2)))
+    assert list(partition_text_chunks(6, f)) == ["[6]\n[4,2]\n[2,2,2]\n"]
+
+
+def test_partition_text_rejects_negative():
+    with pytest.raises(ValueError):
+        list(partition_text_chunks(-1))

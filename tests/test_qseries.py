@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corehooks import _abacus
-from corehooks.generate import count_t_cores
+from corehooks.generate import count_t_cores, iter_partition_parts
 from corehooks.qseries import (
     TruncatedSeries,
     _from_log_derivative,
@@ -106,6 +106,13 @@ def test_core_series_matches_abacus_through_2000(t):
 def test_core_series_matches_abacus_at_one_size(t, n, cores):
     assert core_count_series(t, n)[n] == cores
     assert sum(1 for _ in _abacus.charge_vectors(t, n, True)) == cores
+
+
+@pytest.mark.parametrize("t", [41, 100])
+def test_core_series_above_order_counts_partitions(t):
+    # no partition of n <= 40 has a hook of length t > 40
+    counts = [sum(1 for _ in iter_partition_parts(n)) for n in range(41)]
+    assert list(core_count_series(t, 40).coeffs) == counts
 
 
 def test_recurrence_division_must_be_exact():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from corehooks.quadform import (
@@ -72,6 +74,37 @@ def test_odd_representation_fixture():
     r3 = odd_representation(3)
     assert r3.x % 2 == r3.y % 2 == r3.z % 2 == 1
     assert r3.x**2 + 2 * r3.y**2 + 2 * r3.z**2 == 53
+
+
+def _lex_smallest_all_odd(h):
+    target = (2 * h + 1) ** 2 + 4
+    for x in range(1, target, 2):
+        for y in range(1, target, 2):
+            rest = target - x * x - 2 * y * y
+            if rest < 0:
+                break
+            for z in range(1, target, 2):
+                if 2 * z * z >= rest:
+                    if 2 * z * z == rest:
+                        return x, y, z
+                    break
+
+
+def test_odd_representation_is_lex_smallest():
+    for h in range(2, 151):
+        r = odd_representation(h)
+        assert (r.x, r.y, r.z) == _lex_smallest_all_odd(h), h
+
+
+def test_odd_representations_pinned_through_6000():
+    # SHA-256 of the lines "h,x,y,z" for h = 2..6000, recorded before the
+    # odd squares became a shared table and x was screened mod 8
+    text = "".join(
+        f"{h},{r.x},{r.y},{r.z}\n" for h in range(2, 6001) for r in [odd_representation(h)]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "827e7b9075614e4bd59dfa7ec54d77419cdbb4de4ab662d624fc5fa3f3fa5afc"
+    )
 
 
 def test_odd_representation_validation():
