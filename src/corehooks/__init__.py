@@ -1,6 +1,6 @@
 """corehooks: exact hook-length statistics of t-core partitions.
 
-Enumeration of partitions and t-cores (pruned, streaming, deterministic),
+Enumeration of partitions and t-cores (streaming, deterministic),
 hook-count tables and bias verdicts, exact q-series oracles for the
 counting functions, structural condition checks, and the ternary
 quadratic form argument behind the triangular-number lower bound -- all
@@ -9,7 +9,6 @@ in exact integer arithmetic, with a CLI (`corehooks`) on top.
 
 from .generate import (
     EMPTY_FILTER,
-    EnumStats,
     PartFilter,
     count_t_cores,
     partitions_of,

@@ -42,9 +42,10 @@ from __future__ import annotations
 from collections import Counter
 from math import isqrt
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .generate import PartFilter
+if TYPE_CHECKING:
+    from .generate import PartFilter
 
 
 def charge_vectors(t: int, n_max: int, exact: bool) -> Iterator[tuple[int, list[int]]]:
@@ -130,23 +131,36 @@ def charge_vectors(t: int, n_max: int, exact: bool) -> Iterator[tuple[int, list[
         xs[j] = lo - 1
 
 
+def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
+    """The parts of the core with first empty positions z, largest first.
+
+    lo = min(z) is the lowest empty position, and every position below it
+    holds a bead, so the beads that make parts are the L positions above
+    lo: z_c - t, z_c - 2t, ... on each runner c.  Sorted in decreasing
+    order, the i-th of them lies above lo and L - 1 - i other beads, so
+    it gives the part b_i - lo - (L - 1 - i).  O(n) per core.
+    """
+    lo = min(z)
+    beads: list[int] = []
+    for zc in z:
+        beads += range(zc - t, lo, -t)
+    beads.sort(reverse=True)
+    return tuple(map(sub, beads, range(lo + len(beads) - 1, lo - 1, -1)))
+
+
 def hook_table(
     cores: Iterable[tuple[int, list[int]]],
     t: int,
-    keep,
     ks: Sequence[int] | None,
 ) -> tuple[dict[int, Counter], Counter]:
-    """Hook counts of the given cores that pass keep (None passes all), by
-    size: (tables, core_counts) with tables[n] mapping hook length to its
-    total over the cores of size n.  With ks None every hook length is
-    counted, otherwise only the ks.  Only sizes with a passing core appear,
-    and only positive counts are stored."""
+    """Hook counts of the given cores by size: (tables, core_counts) with
+    tables[n] mapping hook length to its total over the cores of size n.
+    With ks None every hook length is counted, otherwise only the ks.
+    Only sizes with a core appear, and only positive counts are stored."""
     core_counts: Counter = Counter()
     if ks is None:
         tables: dict[int, Counter] = {}
         for n, z in cores:
-            if keep is not None and not keep(z):
-                continue
             core_counts[n] += 1
             tally = tables.get(n)
             if tally is None:
@@ -173,8 +187,6 @@ def hook_table(
     plan = list(groups.items())
     sums: dict[int, list[int]] = {}
     for n, z in cores:
-        if keep is not None and not keep(z):
-            continue
         core_counts[n] += 1
         row = sums.get(n)
         if row is None:
@@ -194,6 +206,18 @@ def hook_table(
     return tables, core_counts
 
 
+def kept_vectors(
+    t: int, n_max: int, exact: bool, f: PartFilter
+) -> Iterator[tuple[int, list[int]]]:
+    """charge_vectors(t, n_max, exact) without the cores whose parts fail
+    the filter; z is rewritten in place between yields."""
+    vectors = charge_vectors(t, n_max, exact)
+    keep = part_test(f, t, n_max)
+    if keep is None:
+        return vectors
+    return ((n, z) for n, z in vectors if keep(z))
+
+
 def part_test(f: PartFilter, t: int, n_max: int):
     """A test on z that passes the cores whose parts pass the filter, or
     None when the filter forbids no value up to n_max.
@@ -203,22 +227,32 @@ def part_test(f: PartFilter, t: int, n_max: int):
     exactly when g_{v+1} - g_v >= 2.  With top the largest forbidden
     value, only the lowest top + 1 gaps matter, and they lie among the gaps
     of the top + 1 runners whose first gap is lowest.
+
+    Part 1 is tested first and alone: g_1 = min(z), and g_1 + 1 is a gap
+    only as the first empty position of its runner (t >= 2), so 1 is a
+    part exactly when min(z) + 1 is not in z.
     """
     low = range(1, min(f.min_part, n_max + 1))
     forbidden = sorted({v for v in f.excluded if v <= n_max}.union(low))
     if not forbidden:
         return None
+    no_ones = forbidden[0] == 1
+    rest = forbidden[no_ones:]
     need = forbidden[-1] + 1
     reach = t * (need - 1)
 
     def keep(z: list[int]) -> bool:
+        if no_ones and min(z) + 1 not in z:
+            return False
+        if not rest:
+            return True
         firsts = sorted(z)[:need]
         bound = firsts[0] + reach + 1  # the lowest runner alone has need gaps below
         gaps: list[int] = []
         for v in firsts:
             gaps += range(v, bound, t)
         gaps.sort()
-        for v in forbidden:
+        for v in rest:
             if gaps[v] - gaps[v - 1] > 1:
                 return False
         return True

@@ -4,23 +4,24 @@ All generators are deterministic and emit partitions of a fixed n in
 reverse-lexicographic order on the part sequences, largest parts first:
 [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
 
-The t-core generators build partitions part by part (largest part first)
-and prune on first-row hook lengths.  Once the next part is bounded by m,
-the hook lengths of the first row in columns beyond m are final; those
-values are revealed in increasing order, and a prefix survives exactly
-when every revealed value v with v >= t has v - t among the already
-revealed ones.  A first-row hook set violating that closure forces a hook
-of length exactly t somewhere in every completion, so the subtree is cut.
-One more structural cut applies: a part repeated t times forces a column
-hook of length t, so runs are capped at t - 1.
+The t-cores come from their charge vectors on the t-abacus (_abacus), the
+engine that also counts their hooks: the vectors are enumerated, a core
+whose parts fail the filter is dropped on its beads alone, and the parts
+of the rest are read off the beads in O(n) each and sorted.  For t > n
+every partition of n is a t-core, so there the filtered partition stream
+is used.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import filterfalse
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
+from . import _abacus
 from .partition import Partition
 
 
@@ -52,20 +53,6 @@ class PartFilter:
 
 
 EMPTY_FILTER = PartFilter()
-
-
-@dataclass
-class EnumStats:
-    """Counters filled in by the t-core generators.
-
-    produced counts emitted partitions; pruned_nodes counts candidate child
-    parts rejected by the hook-based cuts (not by sum/filter bookkeeping).
-    """
-
-    n: int = 0
-    t: int = 0
-    produced: int = 0
-    pruned_nodes: int = 0
 
 
 def _next_partition(parts: list[int]) -> bool:
@@ -205,167 +192,59 @@ def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]
         yield "".join(lines)
 
 
-# Frame slots for the iterative t-core walker.
-_PREV, _SIZE, _RUN, _NEXT, _LO, _CCOL, _ROWS = range(7)
-
-
-def _walk_t_cores(
-    t: int,
-    total: int,
-    exact: bool,
-    f: PartFilter,
-    stats: EnumStats | None,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Depth-first pruned search over t-core partitions.
-
-    Yields (size, parts).  With exact=True only completed partitions of
-    `total` are emitted; otherwise every t-core of size <= total is emitted,
-    parents before descendants, next parts in decreasing order.
-    """
+def _check_core_args(n: int, t: int) -> None:
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    if total < 0:
-        raise ValueError(f"n must be non-negative, got {total}")
-
-    if stats is not None:
-        stats.n = total
-        stats.t = t
-
-    if not exact or total == 0:
-        if stats is not None:
-            stats.produced += 1
-        yield (0, ())
-        if total == 0:
-            return
-
-    excluded = f.excluded
-    min_part = f.min_part
-    parts: list[int] = []
-    betas: set[int] = set()  # committed (final) first-row hook lengths
-    cap_run = t - 1
-
-    # root frame: children are the possible largest parts
-    stack = [[0, 0, 0, total, max(1, min_part), 0, 0]]
-    while stack:
-        fr = stack[-1]
-        prev = fr[_PREV]
-        lo = fr[_LO]
-        m = fr[_NEXT]
-        while m >= lo:
-            if m in excluded:
-                m -= 1
-                continue
-            if m == prev and fr[_RUN] == cap_run:
-                if stats is not None:
-                    stats.pruned_nodes += 1
-                m -= 1
-                continue
-            break
-        if m < lo:
-            # node exhausted: withdraw committed first-row hooks, drop the row
-            if prev:
-                first = parts[0]
-                rows = fr[_ROWS]
-                for c in range(fr[_CCOL], prev + 1):
-                    betas.remove(first + rows - c)
-                parts.pop()
-            stack.pop()
-            continue
-        fr[_NEXT] = m - 1
-
-        if prev:
-            # bounding the next part by m finalises first-row hooks in
-            # columns m+1..prev; commit any not yet committed
-            first = parts[0]
-            rows = fr[_ROWS]
-            cc = fr[_CCOL]
-            while cc > m + 1:
-                cc -= 1
-                betas.add(first + rows - cc)
-            fr[_CCOL] = cc
-
-        # enter the child node obtained by appending part m
-        parts.append(m)
-        size = fr[_SIZE] + m
-        run = fr[_RUN] + 1 if m == prev else 1
-        rows = fr[_ROWS] + 1
-        first = parts[0]
-
-        # scan this node's own columns m..1; values appear in increasing
-        # order, so the closure test is incremental
-        c = m
-        added = []
-        add = betas.add
-        while c >= 1:
-            b = first + rows - c
-            if b >= t and (b - t) not in betas:
-                break
-            add(b)
-            added.append(b)
-            c -= 1
-        c_star = c
-        for b in added:
-            betas.remove(b)
-
-        if exact:
-            remaining = total - size
-            if remaining == 0:
-                if c_star == 0:
-                    if stats is not None:
-                        stats.produced += 1
-                    yield (size, tuple(parts))
-                parts.pop()
-                continue
-            hi = m if m < remaining else remaining
-        else:
-            if c_star == 0:
-                if stats is not None:
-                    stats.produced += 1
-                yield (size, tuple(parts))
-            hi = min(m, total - size)
-
-        if stats is not None and c_star > 0:
-            hi_cut = min(hi, c_star - 1)
-            lo_cut = max(1, min_part)
-            if hi_cut >= lo_cut:
-                cut = hi_cut - lo_cut + 1
-                cut -= sum(1 for v in excluded if lo_cut <= v <= hi_cut)
-                stats.pruned_nodes += cut
-
-        lo_child = c_star if c_star > min_part else min_part
-        if hi < lo_child:
-            parts.pop()
-            continue
-        stack.append([m, size, run, hi, lo_child, m + 1, rows])
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
 
 
-def t_cores_of(
-    n: int,
-    t: int,
-    f: PartFilter = EMPTY_FILTER,
-    stats: EnumStats | None = None,
-) -> Iterator[Partition]:
+def _in_order(n: int, t: int, zs: Iterable[Sequence[int]]) -> Iterator[Partition]:
+    """The cores of size n with first empty positions zs, reverse-lex."""
+    found = [_abacus.core_parts(z, t) for z in zs]
+    found.sort(reverse=True)
+    return (Partition._unchecked(parts, n) for parts in found)
+
+
+def t_cores_of(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> Iterator[Partition]:
     """The t-core partitions of n passing the filter, each exactly once,
-    in the same order as partitions_of restricted to t-cores."""
-    for size, parts in _walk_t_cores(t, n, True, f, stats):
-        yield Partition._unchecked(parts, size)
+    in the same order as partitions_of restricted to t-cores.  The parts
+    of every core of n are built and sorted before the first is yielded."""
+    _check_core_args(n, t)
+    if t > n:
+        yield from partitions_of(n, f)
+        return
+    yield from _in_order(n, t, (z for _, z in _abacus.kept_vectors(t, n, True, f)))
 
 
 def t_cores_up_to(
-    n_max: int,
-    t: int,
-    f: PartFilter = EMPTY_FILTER,
-    stats: EnumStats | None = None,
+    n_max: int, t: int, f: PartFilter = EMPTY_FILTER
 ) -> Iterator[tuple[int, Partition]]:
-    """(n, partition) for every t-core of every n <= n_max, in one pruned
-    sweep.  Grouped by n the stream agrees with t_cores_of."""
-    for size, parts in _walk_t_cores(t, n_max, False, f, stats):
-        yield size, Partition._unchecked(parts, size)
+    """(n, partition) for every t-core of every n <= n_max passing the
+    filter, n ascending, each n in the order of t_cores_of.
+
+    One pass over the charge vectors of every size <= n_max keeps the z
+    of each passing core, t ints in an array per size that has a core,
+    and the parts of one size are built only when that size is reached.
+    """
+    _check_core_args(n_max, t)
+    if t > n_max:
+        for n in range(n_max + 1):
+            for p in partitions_of(n, f):
+                yield n, p
+        return
+    by_size: defaultdict[int, array] = defaultdict(partial(array, "i"))
+    for n, z in _abacus.kept_vectors(t, n_max, False, f):
+        by_size[n].extend(z)
+    for n in sorted(by_size):
+        zs = by_size.pop(n)
+        for p in _in_order(n, t, (zs[i : i + t] for i in range(0, len(zs), t))):
+            yield n, p
 
 
 def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
     """Number of t-core partitions of n passing the filter."""
-    count = 0
-    for _ in _walk_t_cores(t, n, True, f, None):
-        count += 1
-    return count
+    _check_core_args(n, t)
+    if t > n:
+        return sum(map(f.passes, iter_partition_parts(n)))
+    return sum(1 for _ in _abacus.kept_vectors(t, n, True, f))

@@ -5,9 +5,9 @@ partitions of n, optionally restricted to partitions avoiding a set of
 part values.  Totals come from the charge vectors of the cores on the
 t-abacus (see _abacus): a range table is one pass over every vector of
 size at most n_max, a point query one pass over the vectors of size n,
-and each core costs O(t) per hook length.  The part-by-part walker of
-generate is used here only where single partitions are reported
-(per_partition_compare).  Every count is an exact integer.
+and each core costs O(t) per hook length.  per_partition_compare, which
+reports single partitions, reads them from generate's ordered stream of
+the same vectors.  Every count is an exact integer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import _abacus
-from .generate import EMPTY_FILTER, PartFilter, t_cores_of
+from .generate import EMPTY_FILTER, PartFilter, _check_core_args, t_cores_of
 from .partition import Partition, hook_lengths_of
 
 HOLDS = "HOLDS"
@@ -60,10 +60,7 @@ def _engine_t(t: int, n_max: int) -> int:
     t-core for every t > n_max and its hooks do not depend on t; n_max + 1
     runners (at least 2) then give the same cores and the same counts.
     """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    if n_max < 0:
-        raise ValueError(f"n must be non-negative, got {n_max}")
+    _check_core_args(n_max, t)
     return min(t, max(2, n_max + 1))
 
 
@@ -83,9 +80,7 @@ def _hook_counts_at(n: int, t: int, ks: Sequence[int], f: PartFilter) -> Counter
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-    tables, _ = _abacus.hook_table(
-        _abacus.charge_vectors(te, n, True), te, _abacus.part_test(f, te, n), ks
-    )
+    tables, _ = _abacus.hook_table(_abacus.kept_vectors(te, n, True, f), te, ks)
     return tables.get(n, Counter())
 
 
@@ -109,7 +104,7 @@ def hook_count_table(
         if any(k < 1 for k in ks):
             raise ValueError(f"hook lengths must be positive, got {ks}")
     tables, core_counts = _abacus.hook_table(
-        _abacus.charge_vectors(te, n_max, False), te, _abacus.part_test(f, te, n_max), ks
+        _abacus.kept_vectors(te, n_max, False, f), te, ks
     )
     return (
         [tables.get(n) or Counter() for n in range(n_max + 1)],

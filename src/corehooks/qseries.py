@@ -5,17 +5,16 @@ ever enumerating a partition: the t-core counting series of the eta-style
 product, the triangular-number indicator, and a triple series over shifted
 triangular numbers.  The t-core series is its product divided by
 Euler's pentagonal series: O(sqrt(n)) additions per coefficient, and
-every intermediate integer is a core count.  The numerator's coefficients
-come from a logarithmic-derivative recurrence with an exact-division
-check.  Coefficients are Python ints, so arithmetic is exact at any size.
+every intermediate integer is a core count.  The numerator is a power of
+the pentagonal series, multiplied out term by term.  Coefficients are
+Python ints, so arithmetic is exact at any size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
 from math import isqrt
-from operator import add, mul
+from operator import add, sub
 from typing import Mapping
 
 
@@ -95,34 +94,29 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
                     * (c_(n - k(3k-1)/2) + c_(n - k(3k+1)/2)),
 
     terms with a negative index left out.  g_n is the q^(n/t) coefficient
-    of (q;q)^t when t divides n and 0 otherwise; those come from the
-    logarithmic derivative -t * sum of sigma(m) * q^m of (q;q)^t, sigma
-    the sum of divisors (_from_log_derivative, with its exact-division
-    check), for m <= order / t only.
+    of (q;q)^t when t divides n and 0 otherwise; those come from t sparse
+    multiplications by the pentagonal series, through q^(order/t) only
+    (_euler_power).
 
-    Nothing is enumerated, and each c_n costs O(sqrt(n)) additions, so the
-    series costs O(order^1.5) plus O((order / t)^2) for g.  Every
-    intermediate integer is a core count: for t > order the counts are
-    the partition numbers p(n).
+    Nothing is enumerated or divided, and each c_n costs O(sqrt(n))
+    additions, so the series costs O(order^1.5) plus
+    O(t * (order / t)^1.5) for g.  Every intermediate c_n is a core count:
+    for t > order the counts are the partition numbers p(n).
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    top = order // t
-    sigma = [0] * (top + 1)
-    for d in range(1, top + 1):
-        sigma[d::d] = map(add, sigma[d::d], repeat(d))
-    g = [0] * (order + 1)
-    g[::t] = _from_log_derivative([-t * s for s in sigma])
     # the pentagonal numbers k(3k-1)/2 and k(3k+1)/2, split by the sign of
-    # their term: k odd adds, k even subtracts
+    # their term: k odd adds, k even subtracts (in (q;q) itself k odd is -1)
     adds: list[int] = []
     subs: list[int] = []
     k = 1
     while k * (3 * k - 1) // 2 <= order:
         (adds if k % 2 else subs).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
         k += 1
+    g = [0] * (order + 1)
+    g[::t] = _euler_power(t, order // t, adds, subs)
     c: list[int] = []
     get = c.__getitem__
     for n in range(order + 1):
@@ -134,23 +128,23 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, c)
 
 
-def _from_log_derivative(b: list[int]) -> list[int]:
-    """The coefficients c_0 = 1, c_1, ... of the series whose logarithmic
-    derivative q*F'/F has the coefficients b (b[0] is not used), through
-    n * c_n = sum over m = 1..n of b_m * c_(n-m).  Raises ArithmeticError
-    when a division by n is not exact, so the series has no integer
-    coefficients."""
-    order = len(b) - 1
-    rev = b[::-1]  # rev[order - m] = b_m
-    c = [1]
-    for n in range(1, order + 1):
-        # b_n * c_0 + b_(n-1) * c_1 + ... + b_1 * c_(n-1), summed in C
-        q, r = divmod(sum(map(mul, c, rev[order - n :])), n)
-        if r:
-            raise ArithmeticError(
-                f"coefficient {n} is not an integer: remainder {r} mod {n}"
-            )
-        c.append(q)
+def _euler_power(t: int, top: int, minus: list[int], plus: list[int]) -> list[int]:
+    """The coefficients of q^0..q^top of (q;q)^t, where (q;q) = 1 minus
+    q^e for e in minus plus q^e for e in plus (the pentagonal numbers, in
+    increasing order): the O(sqrt(top)) terms are multiplied into 1 t
+    times, O(t * top^1.5) additions and no division."""
+    minus = minus[: bisect_right(minus, top)]
+    plus = plus[: bisect_right(plus, top)]
+    c = [1] + [0] * top
+    if not minus:  # top == 0: (q;q)^t is 1
+        return c
+    for _ in range(t):
+        prod = c[:]
+        for e in minus:
+            prod[e:] = map(sub, prod[e:], c)
+        for e in plus:
+            prod[e:] = map(add, prod[e:], c)
+        c = prod
     return c
 
 

@@ -1,12 +1,15 @@
 """Shared test helpers: independent brute-force oracles and strategies.
 
 The oracles here deliberately avoid the library's own algorithms.  Hook
-lengths are counted box by box directly on the diagram, and partitions
-are generated by a plain recursive construction, so that the fast paths
-in the package are always checked against a second route.
+lengths are counted box by box directly on the diagram, partitions are
+generated by a plain recursive construction, t-cores by a part-by-part
+walker, and core counts by divisor sums, so that the fast paths in the
+package are always checked against a second route.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from hypothesis import strategies as st
 
@@ -92,9 +95,10 @@ def partition_parts(max_n: int = 40, max_len: int = 10):
 # generators, and hook counts fall out of the bead set alone:
 # the number of k-hooks is #{b in B : b >= k and b - k not in B}.
 #
-# The package's hook counts now come from the same charge vectors, so this
-# oracle checks only the part-by-part walker of generate.  Against the
-# package's counts the independent route is the walker with naive_hooks.
+# The package's t-cores and hook counts come from charge vectors too, so
+# this oracle shares the method with them; it keeps its own enumeration
+# and its own bead-to-parts step.  The route that shares nothing with the
+# package is walk_t_cores below with naive_hooks.
 # ---------------------------------------------------------------------------
 
 
@@ -161,3 +165,137 @@ def bead_vector_tcores(n_max: int, t: int):
 
     rec(0, 0, 0, ())
     return out
+
+
+# ---------------------------------------------------------------------------
+# Part-by-part t-core walker.
+#
+# It builds partitions largest part first and prunes on first-row hook
+# lengths.  Once the next part is bounded by m, the hook lengths of the
+# first row in columns beyond m are final; those values are revealed in
+# increasing order, and a prefix survives exactly when every revealed value
+# v with v >= t has v - t among the already revealed ones.  A first-row
+# hook set violating that closure forces a hook of length exactly t
+# somewhere in every completion, so the subtree is cut.  A part repeated t
+# times forces a column hook of length t, so runs are capped at t - 1.
+# Nothing here uses the abacus.
+# ---------------------------------------------------------------------------
+
+# frame slots of the walker's stack
+_PREV, _SIZE, _RUN, _NEXT, _LO, _CCOL, _ROWS = range(7)
+
+
+def walk_t_cores(t: int, total: int, exact: bool, excluded=frozenset(), min_part: int = 1):
+    """Yield (size, parts) for the t-cores of size total (exact) or of
+    every size <= total, with no part in excluded or below min_part.
+    Exact streams are in reverse-lexicographic order; the range stream
+    puts parents before descendants, next parts in decreasing order."""
+    if not exact or total == 0:
+        yield (0, ())
+        if total == 0:
+            return
+    parts: list[int] = []
+    betas: set[int] = set()  # committed (final) first-row hook lengths
+    cap_run = t - 1
+    # root frame: children are the possible largest parts
+    stack = [[0, 0, 0, total, max(1, min_part), 0, 0]]
+    while stack:
+        fr = stack[-1]
+        prev = fr[_PREV]
+        lo = fr[_LO]
+        m = fr[_NEXT]
+        while m >= lo and (m in excluded or (m == prev and fr[_RUN] == cap_run)):
+            m -= 1
+        if m < lo:
+            # node exhausted: withdraw committed first-row hooks, drop the row
+            if prev:
+                first = parts[0]
+                rows = fr[_ROWS]
+                for c in range(fr[_CCOL], prev + 1):
+                    betas.remove(first + rows - c)
+                parts.pop()
+            stack.pop()
+            continue
+        fr[_NEXT] = m - 1
+        if prev:
+            # bounding the next part by m finalises first-row hooks in
+            # columns m+1..prev; commit any not yet committed
+            first = parts[0]
+            rows = fr[_ROWS]
+            cc = fr[_CCOL]
+            while cc > m + 1:
+                cc -= 1
+                betas.add(first + rows - cc)
+            fr[_CCOL] = cc
+        # enter the child node obtained by appending part m
+        parts.append(m)
+        size = fr[_SIZE] + m
+        run = fr[_RUN] + 1 if m == prev else 1
+        rows = fr[_ROWS] + 1
+        first = parts[0]
+        # scan this node's own columns m..1; values appear in increasing
+        # order, so the closure test is incremental
+        c = m
+        added = []
+        while c >= 1:
+            b = first + rows - c
+            if b >= t and (b - t) not in betas:
+                break
+            betas.add(b)
+            added.append(b)
+            c -= 1
+        c_star = c
+        for b in added:
+            betas.remove(b)
+        if exact:
+            remaining = total - size
+            if remaining == 0:
+                if c_star == 0:
+                    yield (size, tuple(parts))
+                parts.pop()
+                continue
+            hi = min(m, remaining)
+        else:
+            if c_star == 0:
+                yield (size, tuple(parts))
+            hi = min(m, total - size)
+        lo_child = max(c_star, min_part)
+        if hi < lo_child:
+            parts.pop()
+            continue
+        stack.append([m, size, run, hi, lo_child, m + 1, rows])
+
+
+def walker_cores_of(n: int, t: int, f=None) -> list[tuple[int, ...]]:
+    """The parts of the t-cores of n passing the PartFilter f, in
+    reverse-lexicographic order, from the walker."""
+    limits = () if f is None else (f.excluded, f.min_part)
+    return [parts for _, parts in walk_t_cores(t, n, True, *limits)]
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic oracles: closed forms for the number of t-cores of n, with
+# trial-division divisors and a Legendre symbol.  They share nothing with
+# the abacus or the q-series.
+# ---------------------------------------------------------------------------
+
+
+def divisors(m: int) -> list[int]:
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
+
+
+def legendre(d: int, p: int) -> int:
+    """(d/p) for an odd prime p, by Euler's criterion."""
+    r = pow(d, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def three_core_count(n: int) -> int:
+    """Granville-Ono: a_3(n) = sum over d | 3n+1 of (d/3)."""
+    return sum(legendre(d, 3) for d in divisors(3 * n + 1))
+
+
+def five_core_count(n: int) -> int:
+    """Garvan-Kim-Stanton: a_5(n) = sum over d | n+1 of (d/5) * (n+1)/d."""
+    return sum(legendre(d, 5) * ((n + 1) // d) for d in divisors(n + 1))

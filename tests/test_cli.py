@@ -12,8 +12,10 @@ import pytest
 
 from corehooks import _abacus
 from corehooks.cli import main
-from corehooks.generate import partitions_of, t_cores_of
+from corehooks.generate import partitions_of
 from corehooks.partition import hook_lengths_of
+
+from conftest import walker_cores_of
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 WORKLOADS = REFERENCE.with_name("workloads.json")
@@ -66,8 +68,9 @@ def test_nonpositive_hook_length_exits_2(capsys, argv):
 
 
 def _walker_hooks(n, t):
-    """Hook-length totals over the t-cores of n from the part-by-part walker."""
-    return Counter(h for p in t_cores_of(n, t) for h in hook_lengths_of(p.parts))
+    """Hook-length totals over the t-cores of n from the part-by-part
+    walker of conftest, which shares nothing with the abacus."""
+    return Counter(h for parts in walker_cores_of(n, t) for h in hook_lengths_of(parts))
 
 
 @pytest.mark.parametrize("t", [60, 2000])

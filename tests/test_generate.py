@@ -1,11 +1,12 @@
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from corehooks import _abacus
 from corehooks.generate import (
-    EnumStats,
     PartFilter,
     count_t_cores,
     iter_partition_parts,
@@ -16,7 +17,16 @@ from corehooks.generate import (
 )
 from corehooks.partition import Partition, parts_text
 
-from conftest import naive_is_t_core, naive_partitions, partition_parts
+from conftest import (
+    _partition_from_vector,
+    five_core_count,
+    naive_hooks,
+    naive_is_t_core,
+    naive_partitions,
+    partition_parts,
+    three_core_count,
+    walker_cores_of,
+)
 
 C1 = PartFilter(excluded=frozenset({1}))
 C12 = PartFilter(excluded=frozenset({1, 2}))
@@ -134,16 +144,89 @@ def test_series_oracle_small():
             assert series[n] == count_t_cores(n, t)
 
 
-def test_enum_stats():
-    stats = EnumStats()
-    got = list(t_cores_of(20, 4, stats=stats))
-    assert stats.produced == len(got) == count_t_cores(20, 4)
-    assert stats.n == 20 and stats.t == 4
-    assert stats.pruned_nodes > 0
+ORDER_FILTERS = [PartFilter(), C1, C12, PartFilter(excluded=frozenset({2, 5})), PartFilter(min_part=3)]
+ORDER_IDS = ["all", "no1", "no12", "no25", "min3"]
 
-    sweep_stats = EnumStats()
-    swept = list(t_cores_up_to(20, 4, stats=sweep_stats))
-    assert sweep_stats.produced == len(swept)
+
+@pytest.mark.parametrize("t", range(2, 9))
+@pytest.mark.parametrize("f", ORDER_FILTERS, ids=ORDER_IDS)
+def test_streams_match_walker_order(t, f):
+    # the part-by-part walker of conftest shares nothing with the abacus;
+    # its exact streams are in reverse-lexicographic order
+    want = {n: walker_cores_of(n, t, f) for n in range(46)}
+    for n in range(46):
+        assert [p.parts for p in t_cores_of(n, t, f)] == want[n], n
+        assert count_t_cores(n, t, f) == len(want[n]), n
+    swept = [(n, p.parts) for n, p in t_cores_up_to(45, t, f)]
+    assert swept == [(n, parts) for n in range(46) for parts in want[n]]
+
+
+@pytest.mark.parametrize("f", ORDER_FILTERS, ids=ORDER_IDS)
+def test_streams_with_t_above_n_are_partitions(f):
+    # for t > n every partition of n is a t-core, and the partition stream
+    # is used
+    want = {n: [p for p in naive_partitions(n) if f.passes(p)] for n in range(16)}
+    for n in range(16):
+        assert [p.parts for p in t_cores_of(n, 40, f)] == want[n] == walker_cores_of(n, 40, f)
+        assert count_t_cores(n, 40, f) == len(want[n])
+    swept = [(n, p.parts) for n, p in t_cores_up_to(15, 40, f)]
+    assert swept == [(n, parts) for n in range(16) for parts in want[n]]
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_part_test_matches_passes(t):
+    # every filter forbidding a value up to 6, on every core of n <= 60;
+    # the parts come from the conftest bead conversion, not the package's
+    filters = [
+        PartFilter(excluded=frozenset(excl), min_part=m)
+        for m in (1, 2, 3)
+        for excl in ((), (1,), (2,), (1, 2), (3,), (2, 5), (1, 4, 6))
+    ]
+    tests = [(f, _abacus.part_test(f, t, 60)) for f in filters]
+    for n, z in _abacus.charge_vectors(t, 60, False):
+        parts = _partition_from_vector(tuple((zc - c) // t for c, zc in enumerate(z)), t)
+        assert sum(parts) == n
+        for f, keep in tests:
+            if keep is None:
+                assert f == PartFilter()
+            else:
+                assert keep(z) == f.passes(parts), (f, parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=9).flatmap(
+    lambda t: st.tuples(
+        st.just(t),
+        st.lists(st.integers(min_value=-8, max_value=8), min_size=t - 1, max_size=t - 1)
+        .filter(lambda xs: abs(sum(xs)) <= 8),
+    )
+))
+def test_core_parts_from_random_charge_vector(drawn):
+    # sizes the walker never reaches: up to about 2,900 boxes at t = 9
+    t, xs = drawn
+    xs = tuple(xs) + (-sum(xs),)
+    z = [c + t * x for c, x in enumerate(xs)]
+    parts = _abacus.core_parts(z, t)
+    assert parts == _partition_from_vector(xs, t)
+    n = sum(parts)
+    assert 2 * n == t * sum(x * x for x in xs) + 2 * sum(c * x for c, x in enumerate(xs))
+    hooks = Counter(naive_hooks(parts))
+    tables, counts = _abacus.hook_table([(n, z)], t, range(1, 13))
+    assert counts == Counter({n: 1})
+    assert {k: tables[n][k] for k in range(1, 13)} == {k: hooks[k] for k in range(1, 13)}
+    tables, _ = _abacus.hook_table([(n, z)], t, None)
+    assert tables[n] == hooks
+
+
+def test_counts_match_arithmetic_oracles():
+    # Granville-Ono for 3-cores and Garvan-Kim-Stanton for 5-cores, at
+    # sizes no walker or brute force reaches
+    for n in range(200):
+        assert count_t_cores(n, 3) == three_core_count(n), n
+        assert count_t_cores(n, 5) == five_core_count(n), n
+    assert count_t_cores(10**6, 3) == three_core_count(10**6) == 4
+    for n in (4999, 5000, 5001):
+        assert count_t_cores(n, 5) == five_core_count(n), n
 
 
 def test_emitted_partitions_are_valid():

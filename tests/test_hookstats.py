@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from corehooks.generate import PartFilter, count_t_cores, t_cores_up_to
+from corehooks.generate import PartFilter, count_t_cores
 from corehooks.hookstats import (
     FAILS,
     HOLDS,
@@ -14,7 +14,13 @@ from corehooks.hookstats import (
     total_hook_count,
 )
 
-from conftest import naive_hook_count, naive_hooks, naive_is_t_core, naive_partitions
+from conftest import (
+    naive_hook_count,
+    naive_hooks,
+    naive_is_t_core,
+    naive_partitions,
+    walk_t_cores,
+)
 
 C1 = PartFilter(excluded=frozenset({1}))
 C12 = PartFilter(excluded=frozenset({1, 2}))
@@ -189,10 +195,10 @@ FILTERS = [
 def test_engine_matches_walker_with_diagram_hooks(t, n_max):
     # The package counts hooks on charge vectors, as the bead oracle of
     # conftest does, so the reference here is the other route: the
-    # part-by-part walker with hooks counted box by box on the diagram.
-    # For t = 50 every partition of n <= 22 is a 50-core.
+    # part-by-part walker of conftest with hooks counted box by box on the
+    # diagram.  For t = 50 every partition of n <= 22 is a 50-core.
     profiles = [
-        (n, p.parts, Counter(naive_hooks(p.parts))) for n, p in t_cores_up_to(n_max, t)
+        (n, parts, Counter(naive_hooks(parts))) for n, parts in walk_t_cores(t, n_max, False)
     ]
     for f in FILTERS:
         want = [Counter() for _ in range(n_max + 1)]

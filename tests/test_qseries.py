@@ -8,7 +8,6 @@ from corehooks import _abacus
 from corehooks.generate import count_t_cores, iter_partition_parts
 from corehooks.qseries import (
     TruncatedSeries,
-    _from_log_derivative,
     core_count_series,
     is_triangular,
     triangular_indicator_series,
@@ -113,13 +112,6 @@ def test_core_series_above_order_counts_partitions(t):
     # no partition of n <= 40 has a hook of length t > 40
     counts = [sum(1 for _ in iter_partition_parts(n)) for n in range(41)]
     assert list(core_count_series(t, 40).coeffs) == counts
-
-
-def test_recurrence_division_must_be_exact():
-    # q*F'/F = q gives F = exp(q), whose q^2 coefficient is 1/2
-    assert _from_log_derivative([0, 1]) == [1, 1]
-    with pytest.raises(ArithmeticError, match="coefficient 2"):
-        _from_log_derivative([0, 1, 0])
 
 
 def test_coefficients_nonnegative():

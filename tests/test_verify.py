@@ -1,6 +1,6 @@
 import pytest
 
-from corehooks.generate import PartFilter, t_cores_of, t_cores_up_to
+from corehooks.generate import PartFilter, t_cores_up_to
 from corehooks.hookstats import FAILS, hook_count_table
 from corehooks.partition import Cell, Partition
 from corehooks.verify import (
@@ -24,6 +24,7 @@ from conftest import (
     naive_hooks,
     naive_is_t_core,
     naive_partitions,
+    walker_cores_of,
 )
 
 
@@ -211,7 +212,7 @@ def _walker_totals(n, t, ks):
     """(number of t-cores of n, total k-hooks for each k) from the
     part-by-part walker with hooks counted box by box on the diagram: a
     route that shares no step with the package's charge-vector counts."""
-    hooks = [naive_hooks(p.parts) for p in t_cores_of(n, t)]
+    hooks = [naive_hooks(parts) for parts in walker_cores_of(n, t)]
     return len(hooks), tuple(sum(h.count(k) for h in hooks) for k in ks)
 
 
