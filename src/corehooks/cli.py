@@ -1,8 +1,12 @@
 """Command line interface.
 
-Subcommands: enum, count, series, verify, conj-scan, quadform.  Output is
-machine readable (csv, json, or json lines), every integer printed as an
-exact decimal.  Exit codes: 0 success / all checks hold, 1 a
+Subcommands: enum, count, series, verify, conj-scan, quadform.  Each
+subparser names its handler (set_defaults(run=...)), and main hands the
+parsed namespace straight to it; a handler parses and checks its own
+arguments and leaves to the library the checks it makes with the same
+text.  Output is machine readable (csv, json, or json lines), every
+integer printed as an exact decimal, and every table goes through one
+writer, _write_table.  Exit codes: 0 success / all checks hold, 1 a
 counterexample or identity mismatch was found, 2 usage or I/O error, 141
 the reader of stdout closed the pipe early.
 """
@@ -13,13 +17,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 from typing import Iterable
 
 from .generate import (
     _CHUNK_LINES,
-    EMPTY_FILTER,
     PartFilter,
     partition_text_chunks,
     t_cores_of,
@@ -34,26 +37,6 @@ PROG = "corehooks"
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one run."""
-
-    subcommand: str
-    t: int = 0
-    ks: list[int] = field(default_factory=list)
-    n_lo: int = 0
-    n_hi: int = 0
-    order: int = 200
-    filter: PartFilter = EMPTY_FILTER
-    fmt: str = "csv"
-    out: str | None = None
-    check: str = ""
-    n_max: int = 0
-    seed_dump: bool = False
-    h_max: int = 0
-    relations: list[str] = field(default_factory=list)
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -139,6 +122,18 @@ def _write_output(text: str | Iterable[str], out: str | None):
         _write_chunks(sys.stdout, text)
 
 
+def _write_table(args, header: tuple[str, ...], rows: Iterable[tuple]):
+    """Write rows as csv (a header line, then one line per row) or, with
+    --format json, as a list of objects keyed by the header."""
+    if args.format == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    else:
+        text = ",".join(header) + "\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows
+        )
+    _write_output(text, args.out)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -151,6 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("enum", help="stream partitions as JSON lines")
+    p.set_defaults(run=_cmd_enum)
     p.add_argument("--n", required=True)
     p.add_argument("--t", type=int, default=0, help="restrict to t-cores (0: all partitions)")
     p.add_argument("--exclude", help="comma separated part values to exclude")
@@ -158,6 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, ("jsonl",))
 
     p = sub.add_parser("count", help="total k-hooks over the t-cores of n")
+    p.set_defaults(run=_cmd_count)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", required=True, help="hook length, or comma separated list")
     p.add_argument("--n", required=True, help="single n or range lo..hi")
@@ -166,6 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("series", help="t-core counting series coefficients")
+    p.set_defaults(run=_cmd_series)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--order", type=int, default=200)
     common(p)
@@ -178,6 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "corehooks-<check>-report.json in the current directory, or to "
         "--out when given.",
     )
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--check", required=True, choices=sorted(CHECKS))
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--seed-dump", action="store_true",
@@ -192,6 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "corehooks-scan-t<T>-report.json in the current directory, or to "
         "--out when given.",
     )
+    p.set_defaults(run=_cmd_conj_scan)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--t", type=int, default=5)
     p.add_argument("--ks", default="1,3,6")
@@ -203,20 +203,25 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, ("text", "csv", "json"))
 
     p = sub.add_parser("quadform", help="all-odd ternary representations per h")
+    p.set_defaults(run=_cmd_quadform)
     p.add_argument("--h-max", type=int, required=True)
     common(p, ("json", "csv"))
 
     return parser
 
 
-def _cmd_enum(cfg: RunConfig) -> int:
-    if cfg.t == 0:
-        chunks = partition_text_chunks(cfg.n_lo, cfg.filter)
+def _cmd_enum(args) -> int:
+    n, n_hi = _parse_n_range(args.n)
+    if n != n_hi:
+        raise UsageError("enum takes a single n")
+    f = _parse_filter(args.exclude, args.min_part)
+    if args.t == 0:
+        chunks = partition_text_chunks(n, f)
     else:
-        if cfg.t < 2:
-            raise UsageError(f"t must be 0 or at least 2, got {cfg.t}")
-        chunks = _line_chunks(map(str, t_cores_of(cfg.n_lo, cfg.t, cfg.filter)))
-    _write_output(chunks, cfg.out)
+        if args.t < 2:
+            raise UsageError(f"t must be 0 or at least 2, got {args.t}")
+        chunks = _line_chunks(map(str, t_cores_of(n, args.t, f)))
+    _write_output(chunks, args.out)
     return 0
 
 
@@ -228,45 +233,25 @@ def _line_chunks(lines):
         yield "\n".join(batch) + "\n"
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    if cfg.t < 2:
-        raise UsageError(f"t must be at least 2, got {cfg.t}")
-    single = cfg.n_lo == cfg.n_hi and len(cfg.ks) == 1
-    if single and cfg.fmt == "csv" and cfg.out is None:
-        value = total_hook_count(cfg.n_lo, cfg.t, cfg.ks[0], cfg.filter)
-        sys.stdout.write(f"{value}\n")
+def _cmd_count(args) -> int:
+    t = args.t
+    ks = _parse_hook_lengths(args.k, "k")
+    n_lo, n_hi = _parse_n_range(args.n)
+    f = _parse_filter(args.exclude, args.min_part)
+    if n_lo == n_hi and len(ks) == 1 and args.format == "csv" and args.out is None:
+        sys.stdout.write(f"{total_hook_count(n_lo, t, ks[0], f)}\n")
         return 0
     rows = []
-    for n in range(cfg.n_lo, cfg.n_hi + 1):
-        counts = _hook_counts_at(n, cfg.t, cfg.ks, cfg.filter)
-        rows += [(n, cfg.t, k, counts[k]) for k in cfg.ks]
-    if cfg.fmt == "json":
-        payload = [
-            {"n": n, "t": t, "k": k, "value": v} for n, t, k, v in rows
-        ]
-        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
-    else:
-        body = "n,t,k,value\n" + "".join(
-            f"{n},{t},{k},{v}\n" for n, t, k, v in rows
-        )
-        _write_output(body, cfg.out)
+    for n in range(n_lo, n_hi + 1):
+        counts = _hook_counts_at(n, t, ks, f)
+        rows += [(n, t, k, counts[k]) for k in ks]
+    _write_table(args, ("n", "t", "k", "value"), rows)
     return 0
 
 
-def _cmd_series(cfg: RunConfig) -> int:
-    if cfg.t < 2:
-        raise UsageError(f"t must be at least 2, got {cfg.t}")
-    if cfg.order < 0:
-        raise UsageError(f"order must be non-negative, got {cfg.order}")
-    series = core_count_series(cfg.t, cfg.order)
-    if cfg.fmt == "json":
-        payload = [{"n": n, "coefficient": c} for n, c in enumerate(series.coeffs)]
-        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
-    else:
-        body = "n,coefficient\n" + "".join(
-            f"{n},{c}\n" for n, c in enumerate(series.coeffs)
-        )
-        _write_output(body, cfg.out)
+def _cmd_series(args) -> int:
+    series = core_count_series(args.t, args.order)
+    _write_table(args, ("n", "coefficient"), enumerate(series.coeffs))
     return 0
 
 
@@ -285,8 +270,10 @@ def _report_path(check: str, out: str | None) -> str:
     return out or f"{PROG}-{check}-report.json"
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    result = run_check(cfg.check, cfg.n_max)
+def _cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise UsageError(f"n-max must be positive, got {args.n_max}")
+    result = run_check(args.check, args.n_max)
     report = {
         "check": result.check,
         "n_max": result.n_max,
@@ -296,17 +283,17 @@ def _cmd_verify(cfg: RunConfig) -> int:
     }
     if result.info:
         report["witness_samples"] = result.info
-    if not result.holds and cfg.seed_dump:
+    if not result.holds and args.seed_dump:
         report["seed_dump"] = _seed_dump_payload(
             result.dump_targets, result.failing_n
         )
-    if cfg.fmt == "json":
-        _write_output(json.dumps(report, indent=2) + "\n", cfg.out)
+    if args.format == "json":
+        _write_output(json.dumps(report, indent=2) + "\n", args.out)
         return 0 if result.holds else 1
     if result.holds:
         sys.stdout.write(f"{result.check}: HOLDS. {result.summary}\n")
         return 0
-    path = _report_path(result.check, cfg.out)
+    path = _report_path(result.check, args.out)
     _write_file(path, json.dumps(report, indent=2))
     sys.stdout.write(
         f"{result.check}: COUNTEREXAMPLE FOUND. {result.summary}\n"
@@ -315,52 +302,46 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 1
 
 
-def _bias_table_csv(records, pairs) -> str:
-    head = "n,verdict," + ",".join(f"{t}.{k}" for t, k in pairs)
-    rows = [
-        f"{r.n},{r.verdict}," + ",".join(str(r.values[p]) for p in pairs)
-        for r in records
-    ]
-    return head + "\n" + "".join(row + "\n" for row in rows)
-
-
-def _cmd_conj_scan(cfg: RunConfig) -> int:
-    if cfg.t < 2:
-        raise UsageError(f"t must be at least 2, got {cfg.t}")
-    if len(cfg.relations) != len(cfg.ks) - 1:
+def _cmd_conj_scan(args) -> int:
+    t, n_max = args.t, args.n_max
+    ks = _parse_hook_lengths(args.ks, "ks")
+    relations = [r.strip() for r in args.relations.split(",") if r.strip()]
+    f = _parse_filter(args.exclude, args.min_part)
+    if n_max < 0:
+        raise UsageError(f"n-max must be non-negative, got {n_max}")
+    if t < 2:
+        raise UsageError(f"t must be at least 2, got {t}")
+    if len(relations) != len(ks) - 1:
         raise UsageError(
-            f"need {len(cfg.ks) - 1} relations for {len(cfg.ks)} hook lengths"
+            f"need {len(ks) - 1} relations for {len(ks)} hook lengths"
         )
-    records = bias_table(
-        cfg.t, cfg.ks, 0, cfg.n_max, cfg.filter, cfg.relations
-    )
+    records = bias_table(t, ks, 0, n_max, f, relations)
     fails = [r for r in records if r.verdict == FAILS]
-    if cfg.fmt == "csv":
-        pairs = [(cfg.t, k) for k in cfg.ks]
-        _write_output(_bias_table_csv(records, pairs), cfg.out)
+    if args.format == "csv":
+        _write_table(
+            args,
+            ("n", "verdict", *(f"{t}.{k}" for k in ks)),
+            [(r.n, r.verdict, *(r.values[t, k] for k in ks)) for r in records],
+        )
         return 0 if not fails else 1
     report = {
-        "t": cfg.t,
-        "ks": cfg.ks,
-        "relations": cfg.relations,
-        "n_max": cfg.n_max,
+        "t": t,
+        "ks": ks,
+        "relations": relations,
+        "n_max": n_max,
         "holds": not fails,
         "failures": bias_records_json(fails),
     }
-    if fails and cfg.seed_dump:
-        report["seed_dump"] = _seed_dump_payload(
-            [(cfg.t, cfg.filter)], [r.n for r in fails]
-        )
-    if cfg.fmt == "json":
+    if fails and args.seed_dump:
+        report["seed_dump"] = _seed_dump_payload([(t, f)], [r.n for r in fails])
+    if args.format == "json":
         report["records"] = bias_records_json(records)
-        _write_output(json.dumps(report, indent=2) + "\n", cfg.out)
+        _write_output(json.dumps(report, indent=2) + "\n", args.out)
         return 0 if not fails else 1
     if not fails:
-        sys.stdout.write(
-            f"chain holds for all n <= {cfg.n_max} (t={cfg.t}, ks={cfg.ks})\n"
-        )
+        sys.stdout.write(f"chain holds for all n <= {n_max} (t={t}, ks={ks})\n")
         return 0
-    path = _report_path(f"scan-t{cfg.t}", cfg.out)
+    path = _report_path(f"scan-t{t}", args.out)
     _write_file(path, json.dumps(report, indent=2))
     sys.stdout.write(
         f"counterexamples at n = {[r.n for r in fails[:10]]}\nreport: {path}\n"
@@ -368,70 +349,16 @@ def _cmd_conj_scan(cfg: RunConfig) -> int:
     return 1
 
 
-def _cmd_quadform(cfg: RunConfig) -> int:
-    if cfg.h_max < 2:
-        raise UsageError(f"h-max must be at least 2, got {cfg.h_max}")
-    reps = [odd_representation(h) for h in range(2, cfg.h_max + 1)]
-    if cfg.fmt == "csv":
-        body = "h,x,y,z,m,r,s\n" + "".join(
-            f"{r.h},{r.x},{r.y},{r.z},{r.m},{r.r},{r.s}\n" for r in reps
-        )
-        _write_output(body, cfg.out)
-    else:
-        payload = [
-            {"h": r.h, "x": r.x, "y": r.y, "z": r.z, "m": r.m, "r": r.r, "s": r.s}
-            for r in reps
-        ]
-        _write_output(json.dumps(payload, indent=2) + "\n", cfg.out)
+_ODD_FIELDS = ("h", "x", "y", "z", "m", "r", "s")
+
+
+def _cmd_quadform(args) -> int:
+    if args.h_max < 2:
+        raise UsageError(f"h-max must be at least 2, got {args.h_max}")
+    row = attrgetter(*_ODD_FIELDS)
+    reps = [row(odd_representation(h)) for h in range(2, args.h_max + 1)]
+    _write_table(args, _ODD_FIELDS, reps)
     return 0
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.fmt = getattr(args, "format", "csv")
-    cfg.out = getattr(args, "out", None)
-    if args.subcommand == "enum":
-        cfg.n_lo, cfg.n_hi = _parse_n_range(args.n)
-        if cfg.n_lo != cfg.n_hi:
-            raise UsageError("enum takes a single n")
-        cfg.t = args.t
-        cfg.filter = _parse_filter(args.exclude, args.min_part)
-    elif args.subcommand == "count":
-        cfg.t = args.t
-        cfg.ks = _parse_hook_lengths(args.k, "k")
-        cfg.n_lo, cfg.n_hi = _parse_n_range(args.n)
-        cfg.filter = _parse_filter(args.exclude, args.min_part)
-    elif args.subcommand == "series":
-        cfg.t = args.t
-        cfg.order = args.order
-    elif args.subcommand == "verify":
-        cfg.check = args.check
-        cfg.n_max = args.n_max
-        cfg.seed_dump = args.seed_dump
-        if cfg.n_max < 1:
-            raise UsageError(f"n-max must be positive, got {cfg.n_max}")
-    elif args.subcommand == "conj-scan":
-        cfg.t = args.t
-        cfg.n_max = args.n_max
-        cfg.ks = _parse_hook_lengths(args.ks, "ks")
-        cfg.relations = [r.strip() for r in args.relations.split(",") if r.strip()]
-        cfg.filter = _parse_filter(args.exclude, args.min_part)
-        cfg.seed_dump = args.seed_dump
-        if cfg.n_max < 0:
-            raise UsageError(f"n-max must be non-negative, got {cfg.n_max}")
-    elif args.subcommand == "quadform":
-        cfg.h_max = args.h_max
-    return cfg
-
-
-_DISPATCH = {
-    "enum": _cmd_enum,
-    "count": _cmd_count,
-    "series": _cmd_series,
-    "verify": _cmd_verify,
-    "conj-scan": _cmd_conj_scan,
-    "quadform": _cmd_quadform,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,8 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors (and 0 for --help)
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        code = _DISPATCH[cfg.subcommand](cfg)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

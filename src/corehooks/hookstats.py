@@ -120,41 +120,9 @@ def bias_table(
     f: PartFilter = EMPTY_FILTER,
     relations: Sequence[str] = (),
 ) -> list[BiasRecord]:
-    """One BiasRecord per n in [n_lo, n_hi] comparing the hook counts for
-    the listed ks under the adjacent relations.
-
-    The verdict is HOLDS when every adjacent pair satisfies its relation,
-    FAILS otherwise, and NOT-APPLICABLE when no t-core of n passes the
-    filter (an empty universe, distinguished from a checked truth).
-    """
-    ks = list(ks)
-    if not ks:
-        raise ValueError("ks must not be empty")
-    relations = list(relations)
-    if len(relations) != len(ks) - 1:
-        raise ValueError(
-            f"need {len(ks) - 1} relations for {len(ks)} hook lengths, "
-            f"got {len(relations)}"
-        )
-    for r in relations:
-        relation_check(r, 0, 0)
-    if n_lo < 0 or n_hi < n_lo:
-        raise ValueError(f"bad range {n_lo}..{n_hi}")
-    tables, core_counts = hook_count_table(t, n_hi, f, ks)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        values = {(t, k): tables[n][k] for k in ks}
-        if core_counts[n] == 0:
-            verdict = NOT_APPLICABLE
-        else:
-            vals = [values[(t, k)] for k in ks]
-            ok = all(
-                relation_check(rel, vals[i], vals[i + 1])
-                for i, rel in enumerate(relations)
-            )
-            verdict = HOLDS if ok else FAILS
-        out.append(BiasRecord(n=n, values=values, verdict=verdict))
-    return out
+    """cross_core_bias_table with one core parameter: the hook counts of
+    the t-cores for the listed ks, compared under the adjacent relations."""
+    return cross_core_bias_table([(t, k) for k in ks], n_lo, n_hi, relations, f)
 
 
 def cross_core_bias_table(
@@ -164,17 +132,29 @@ def cross_core_bias_table(
     relations: Sequence[str],
     f: PartFilter = EMPTY_FILTER,
 ) -> list[BiasRecord]:
-    """Like bias_table but each compared value may come from a different
-    core parameter t; pairs are (t, k).  The universe is considered empty
-    only when it is empty for every t involved."""
+    """One BiasRecord per n in [n_lo, n_hi] comparing the values named by
+    pairs, (t, k) for the total k-hooks over the t-cores of n, under the
+    adjacent relations; each value may come from a different t.
+
+    The verdict is HOLDS when every adjacent pair of values satisfies its
+    relation, FAILS otherwise, and NOT-APPLICABLE when no t-core of n
+    passes the filter for any t involved (an empty universe, distinguished
+    from a checked truth).  Each t is swept once, for the ks it is paired
+    with.
+    """
     pairs = [(int(t), int(k)) for t, k in pairs]
     if not pairs:
         raise ValueError("pairs must not be empty")
     relations = list(relations)
     if len(relations) != len(pairs) - 1:
         raise ValueError(
-            f"need {len(pairs) - 1} relations for {len(pairs)} value columns"
+            f"need {len(pairs) - 1} relations for {len(pairs)} value columns, "
+            f"got {len(relations)}"
         )
+    for r in relations:
+        relation_check(r, 0, 0)
+    if n_lo < 0 or n_hi < n_lo:
+        raise ValueError(f"bad range {n_lo}..{n_hi}")
     swept: dict[int, tuple[list[Counter], list[int]]] = {}
     for t, _ in pairs:
         if t not in swept:

@@ -17,7 +17,6 @@ from .generate import (
     EMPTY_FILTER,
     PartFilter,
     iter_partition_parts,
-    t_cores_of,
     t_cores_up_to,
 )
 from .hookstats import (
@@ -305,23 +304,6 @@ def necessity_scan(n_max: int) -> list[tuple[int, Partition, str]]:
             if not rep.overall:
                 failed = ",".join(name for name, ok in rep.checks if not ok)
                 bad.append((t, p, failed))
-    return bad
-
-
-def core_test_equivalence_scan(n_max: int, t_values=range(2, 8)) -> list[tuple[int, Partition]]:
-    """Confirm the two t-core tests agree on every partition of n <= n_max:
-    no hook length divisible by t if and only if no hook of length exactly
-    t.  Returns the disagreements."""
-    bad = []
-    for n in range(n_max + 1):
-        for parts in iter_partition_parts(n):
-            p = Partition._unchecked(parts, n)
-            flat = p.hook_lengths()
-            for t in t_values:
-                core = all(h % t for h in flat)
-                exact = t in flat
-                if core != (not exact):
-                    bad.append((t, p))
     return bad
 
 

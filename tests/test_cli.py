@@ -67,6 +67,38 @@ def test_nonpositive_hook_length_exits_2(capsys, argv):
     assert err == "corehooks: error: hook lengths must be positive\n"
 
 
+# The usage-error contract: each invocation exits 2 with nothing on
+# stdout and exactly this line on stderr.  Where several checks could
+# fire, the message shows which comes first.
+ERROR_CONTRACT = [
+    ("count --t 1 --k 1 --n 3", "t must be at least 2, got 1"),
+    ("count --t 1 --k 1,2 --n 3..5", "t must be at least 2, got 1"),
+    ("count --t 3 --k 1 --n 5..3", "invalid n range '5..3'"),
+    ("count --t 3 --k x --n 3", "k must be an integer, got 'x'"),
+    ("count --t 3 --k 1 --n 3 --exclude 0", "excluded part values must be positive"),
+    ("count --t 3 --k 1 --n 3 --min-part 0", "min-part must be positive, got 0"),
+    ("count --t 1 --k 1 --n 3 --min-part 0", "min-part must be positive, got 0"),
+    ("series --t 1", "t must be at least 2, got 1"),
+    ("series --t 3 --order -1", "order must be non-negative, got -1"),
+    ("series --t 1 --order -1", "t must be at least 2, got 1"),
+    ("enum --n 3..4", "enum takes a single n"),
+    ("enum --n 5 --t 1", "t must be 0 or at least 2, got 1"),
+    ("quadform --h-max 1", "h-max must be at least 2, got 1"),
+    ("verify --check thm13 --n-max 0", "n-max must be positive, got 0"),
+    ("conj-scan --n-max -1", "n-max must be non-negative, got -1"),
+    ("conj-scan --n-max 5 --t 1", "t must be at least 2, got 1"),
+    ("conj-scan --n-max 5 --ks 1,2,3 --relations >=", "need 2 relations for 3 hook lengths"),
+    ("conj-scan --n-max 5 --ks 1,3 --relations >>", "unknown relation '>>'; use >=, <= or ="),
+    ("conj-scan --n-max 5 --t 1 --ks 1,3 --relations >>", "t must be at least 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", ERROR_CONTRACT, ids=[a for a, _ in ERROR_CONTRACT])
+def test_usage_error_contract(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"corehooks: error: {message}\n")
+
+
 def _walker_hooks(n, t):
     """Hook-length totals over the t-cores of n from the part-by-part
     walker of conftest, which shares nothing with the abacus."""

@@ -101,15 +101,41 @@ def test_bias_table_fixture_and_verdicts():
     assert recs[0].verdict == NOT_APPLICABLE
 
 
-def test_bias_table_validation():
+def _one_t_bias_table(t, ks, n_lo, n_hi, relations):
+    return bias_table(t, ks, n_lo, n_hi, relations=relations)
+
+
+def _cross_bias_table(t, ks, n_lo, n_hi, relations):
+    return cross_core_bias_table([(t, k) for k in ks], n_lo, n_hi, relations)
+
+
+@pytest.mark.parametrize(
+    "table", [_one_t_bias_table, _cross_bias_table], ids=["bias_table", "cross_core"]
+)
+@pytest.mark.parametrize(
+    "t,ks,n_lo,n_hi,relations",
+    [
+        (3, [], 0, 5, []),
+        (3, [1, 2], 0, 5, []),
+        (3, [1, 2], 0, 5, ["!="]),
+        (3, [1, 2], 5, 4, [">="]),
+        # a negative start would index the tables from their end
+        (2, [1], -2, 3, []),
+        # names are checked up front, not first on a row that has cores
+        (2, [1, 3], 2, 2, [">>"]),
+    ],
+    ids=[
+        "no-ks",
+        "too-few-relations",
+        "unknown-relation",
+        "reversed-range",
+        "negative-start",
+        "unknown-relation-on-empty-row",
+    ],
+)
+def test_bias_table_validation(table, t, ks, n_lo, n_hi, relations):
     with pytest.raises(ValueError):
-        bias_table(3, [], 0, 5, relations=[])
-    with pytest.raises(ValueError):
-        bias_table(3, [1, 2], 0, 5, relations=[])
-    with pytest.raises(ValueError):
-        bias_table(3, [1, 2], 0, 5, relations=["!="])
-    with pytest.raises(ValueError):
-        bias_table(3, [1, 2], 5, 4, relations=[">="])
+        table(t, ks, n_lo, n_hi, relations)
 
 
 def test_per_partition_fixtures():

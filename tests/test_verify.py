@@ -9,7 +9,6 @@ from corehooks.verify import (
     check_3core_conditions,
     check_4core_conditions,
     check_restricted_4core_formula,
-    core_test_equivalence_scan,
     necessity_scan,
     region_theorem_scan,
     run_check,
@@ -176,10 +175,6 @@ def test_per_partition_5core_min_part_3():
     for n, p in t_cores_up_to(40, 5, f):
         flat = p.hook_lengths()
         assert flat.count(1) <= flat.count(3), p
-
-
-def test_equivalence_scan_small():
-    assert core_test_equivalence_scan(18) == []
 
 
 @pytest.mark.parametrize("t", range(2, 8))
