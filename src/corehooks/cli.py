@@ -123,10 +123,20 @@ def _write_output(text: str | Iterable[str], out: str | None):
 
 
 def _write_table(args, header: tuple[str, ...], rows: Iterable[tuple]):
-    """Write rows as csv (a header line, then one line per row) or, with
-    --format json, as a list of objects keyed by the header."""
+    """Write rows of ints as csv (a header line, then one line per row) or,
+    with --format json, as a list of objects keyed by the header.
+
+    The json text has the bytes of json.dumps(..., indent=2) without its
+    pure-Python encoder: one template per row holds the json.dumps keys,
+    and each value is filled in as int.__repr__, which raises TypeError
+    for a value that is not an int.
+    """
     if args.format == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        template = "  {\n" + ",\n".join(
+            f"    {json.dumps(name)}: %s" for name in header
+        ) + "\n  }"
+        body = ",\n".join([template % tuple(map(int.__repr__, row)) for row in rows])
+        text = f"[\n{body}\n]\n" if body else "[]\n"
     else:
         text = ",".join(header) + "\n" + "".join(
             ",".join(map(str, row)) + "\n" for row in rows

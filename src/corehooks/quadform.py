@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, repeat
-from math import isqrt
+from math import gcd, isqrt
 from operator import sub
 
 from .generate import count_t_cores
@@ -132,6 +132,23 @@ def _odd_squares_upto(limit: int) -> tuple[list[int], frozenset[int]]:
     return table
 
 
+# The primes p = 3 (mod 4) below 50, multiplied together.
+_PRIMES_3_MOD_4 = 3 * 7 * 11 * 19 * 23 * 31 * 43 * 47
+
+
+def _not_two_squares(half: int) -> bool:
+    """True when some prime p = 3 (mod 4) below 50 divides half exactly
+    once, so that half is not a sum of two squares: p | y^2 + z^2 forces
+    p | y and p | z, and then p^2 | half.
+
+    g = gcd(half, the product of those primes) is square-free, so each
+    p | g divides half / p exactly when it divides half / g; the rule holds
+    when some p | g does not, that is when gcd(half / g, g) < g.
+    """
+    g = gcd(half, _PRIMES_3_MOD_4)
+    return gcd(half // g, g) != g
+
+
 def odd_representation(h: int) -> OddRepresentation:
     """The lexicographically smallest all-odd (x, y, z) representing
     (2h+1)^2 + 4, packaged with m = (x-1)/2, r = (y-1)/2, s = (z-1)/2.
@@ -141,7 +158,9 @@ def odd_representation(h: int) -> OddRepresentation:
     (y, z) solves y^2 + z^2 = half, so does (z, y), so the smallest y of a
     solution has y <= z and the search for y stops at 2y^2 > half.  An
     odd square is 1 mod 8, so a sum of two is 2 mod 8; any x whose half is
-    not is skipped without a search.
+    not is skipped without a search, and so is any x whose half a prime
+    p = 3 (mod 4) below 50 divides exactly once (_not_two_squares), since
+    such a half is no sum of two squares at all.
     """
     if h < 2:
         raise ValueError(f"h must be at least 2, got {h}")
@@ -151,7 +170,7 @@ def odd_representation(h: int) -> OddRepresentation:
     is_odd_square = odd_square_set.__contains__
     for x in range(1, isqrt(target) + 1, 2):
         half = (target - x * x) // 2  # target - x^2 is 4 mod 8, so exact
-        if half % 8 != 2:
+        if half % 8 != 2 or _not_two_squares(half):
             continue
         # the first odd square y^2 <= half / 2 leaving an odd square z^2,
         # found in C

@@ -11,7 +11,8 @@ failures with enough data to reproduce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
+from operator import add, sub
 
 from .generate import (
     EMPTY_FILTER,
@@ -158,6 +159,24 @@ def _region_samples(
                 yield Cell(i + 1, j + 1), h, witness
 
 
+def _missing_hook_lengths(parts: tuple[int, ...], ts) -> list[int]:
+    """The t of ts (ascending, positive, not empty) that are not hook
+    lengths of the diagram of parts.
+
+    The first-column hooks b_i = parts[i-1] + len(parts) - i are the beta
+    numbers of the partition, and the hook lengths are the differences
+    b - c of a beta number b and a non-negative c < b that is not one.  So
+    the diagram has a t-hook exactly when some b >= t leaves b - t outside
+    the betas.  For b < t, b - t is negative; with the negative numbers
+    down to -max(ts) added to the set of betas, one C-level superset test
+    over every b decides each t in O(len(parts)).
+    """
+    betas = list(map(add, parts, range(len(parts) - 1, -1, -1)))
+    present = set(range(-ts[-1], 0))
+    present.update(betas)
+    return [t for t in ts if present.issuperset(map(sub, betas, repeat(t)))]
+
+
 def region_theorem_scan(
     n_max: int,
     t_values=range(1, 8),
@@ -172,38 +191,49 @@ def region_theorem_scan(
     boxes with the same hook lengths cell for cell, and its corner is the
     cell itself; every partition is its own region at (1, 1).  So only the
     corner hook of each partition needs checking, and a violation is
-    reported as the region partition with hook_cell (1, 1).
+    reported as the region partition with hook_cell (1, 1).  The corner
+    hook is parts[0] + len(parts) - 1; the t it calls for are listed once
+    per corner value and tested on the first-column hooks alone
+    (_missing_hook_lengths), without the hook lengths of the other cells.
 
     Returns the violations (empty when the containment property holds on
     the whole range).  When a list is passed as samples, the first
     samples_per_t positive witnesses per t, over every cell of every
-    partition in enumeration order, are appended to it for reporting.
+    partition in enumeration order, are appended to it for reporting;
+    only these need every hook length of a diagram (hook_lengths_of).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     t_values = sorted(set(int(t) for t in t_values))
     if any(t < 1 for t in t_values):
         raise ValueError("every t must be at least 1")
+    # t_for_corner[h]: the t whose multiples of at least k_min * t include h
+    t_for_corner = [
+        [t for t in t_values if h % t == 0 and h >= k_min * t]
+        for h in range(n_max + 1)
+    ]
     violations: list[RegionWitness] = []
     sampled = dict.fromkeys(t_values, 0)
     pending = t_values if samples is not None and samples_per_t > 0 else []
     for n in range(1, n_max + 1):
         for parts in iter_partition_parts(n):
-            hooks = hook_lengths_of(parts)
-            corner = hooks[0]
-            for t in t_values:
-                if corner % t == 0 and corner >= k_min * t and t not in hooks:
+            corner = parts[0] + len(parts) - 1
+            ts = t_for_corner[corner]
+            if ts:
+                for t in _missing_hook_lengths(parts, ts):
                     violations.append(RegionWitness(
                         Partition._unchecked(parts, n), Cell(1, 1), corner, t, None
                     ))
-            for t in pending:
-                found = _region_samples(parts, hooks, t, k_min * t)
-                for cell, h, witness in islice(found, samples_per_t - sampled[t]):
-                    samples.append(RegionWitness(
-                        Partition._unchecked(parts, n), cell, h, t, witness
-                    ))
-                    sampled[t] += 1
-            pending = [t for t in pending if sampled[t] < samples_per_t]
+            if pending:
+                hooks = hook_lengths_of(parts)
+                for t in pending:
+                    found = _region_samples(parts, hooks, t, k_min * t)
+                    for cell, h, witness in islice(found, samples_per_t - sampled[t]):
+                        samples.append(RegionWitness(
+                            Partition._unchecked(parts, n), cell, h, t, witness
+                        ))
+                        sampled[t] += 1
+                pending = [t for t in pending if sampled[t] < samples_per_t]
     return violations
 
 

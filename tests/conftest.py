@@ -3,13 +3,13 @@
 The oracles here deliberately avoid the library's own algorithms.  Hook
 lengths are counted box by box directly on the diagram, partitions are
 generated by a plain recursive construction, t-cores by a part-by-part
-walker, and core counts by divisor sums, so that the fast paths in the
+walker, and core counts by divisor sums and class numbers, so that the fast paths in the
 package are always checked against a second route.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 from hypothesis import strategies as st
 
@@ -275,8 +275,8 @@ def walker_cores_of(n: int, t: int, f=None) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # Arithmetic oracles: closed forms for the number of t-cores of n, with
-# trial-division divisors and a Legendre symbol.  They share nothing with
-# the abacus or the q-series.
+# trial-division divisors, a Legendre symbol and a count of reduced binary
+# quadratic forms.  They share nothing with the abacus or the q-series.
 # ---------------------------------------------------------------------------
 
 
@@ -299,3 +299,28 @@ def three_core_count(n: int) -> int:
 def five_core_count(n: int) -> int:
     """Garvan-Kim-Stanton: a_5(n) = sum over d | n+1 of (d/5) * (n+1)/d."""
     return sum(legendre(d, 5) * ((n + 1) // d) for d in divisors(n + 1))
+
+
+def class_number(d: int) -> int:
+    """h(d) for a negative discriminant d: the number of reduced primitive
+    forms ax^2 + bxy + cy^2 with b^2 - 4ac = d, |b| <= a <= c, and b >= 0
+    when |b| = a or a = c.  b has the parity of d, and 3b^2 <= -d.
+
+    Ono-Sze (Acta Arith. 80, 1997): 2 a_4(n) = h(-(32n+20)) when 8n+5 is
+    square-free."""
+    h = 0
+    b = d % 2
+    while 3 * b * b <= -d:
+        ac = (b * b - d) // 4
+        for a in range(max(b, 1), isqrt(ac) + 1):
+            if ac % a == 0 and gcd(a, b, ac // a) == 1:
+                # (a, -b, c) is reduced and distinct too unless b = 0,
+                # b = a or a = c
+                h += 1 if b == 0 or b == a or a * a == ac else 2
+        b += 2
+    return h
+
+
+def is_square_free(m: int) -> bool:
+    return all(m % (p * p) for p in range(2, isqrt(m) + 1))
+

@@ -5,10 +5,16 @@ tests; this file makes a deletion or rename fail here at once."""
 import pytest
 
 import corehooks
-from corehooks import cli, hookstats
+from corehooks import cli, hookstats, verify
 from corehooks.partition import Partition
 
-OWNERS = {"cli": cli, "corehooks": corehooks, "hookstats": hookstats, "Partition": Partition}
+OWNERS = {
+    "cli": cli,
+    "corehooks": corehooks,
+    "hookstats": hookstats,
+    "Partition": Partition,
+    "verify": verify,
+}
 
 
 @pytest.mark.parametrize(
@@ -23,6 +29,8 @@ OWNERS = {"cli": cli, "corehooks": corehooks, "hookstats": hookstats, "Partition
         "corehooks.Partition",
         "Partition.from_text",
         "hookstats.hook_count_table",
+        # bench/tracer.py wraps it to count nocore's generate.partitions
+        "verify.iter_partition_parts",
     ],
 )
 def test_bench_name_is_callable(name):
@@ -39,3 +47,12 @@ def test_bench_calls_keep_their_signatures():
     f = corehooks.PartFilter(excluded=frozenset({1, 2}))
     rows, cores = hookstats.hook_count_table(4, 9, f, [1, 3])
     assert cores[9] == 1 and rows[9][1] == rows[9][3] == 2
+
+
+def test_region_scan_streams_through_verify_name(monkeypatch):
+    # the tracer counts partitions by replacing the name in verify's namespace
+    real = verify.iter_partition_parts
+    seen = []
+    monkeypatch.setattr(verify, "iter_partition_parts", lambda n: seen.append(n) or real(n))
+    verify.region_theorem_scan(5)
+    assert seen == [1, 2, 3, 4, 5]

@@ -404,6 +404,42 @@ def test_quadform_json(capsys):
         assert r["x"] ** 2 + 2 * r["y"] ** 2 + 2 * r["z"] ** 2 == (2 * r["h"] + 1) ** 2 + 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--t", "3", "--k", "1,2", "--n", "0..12"],
+        ["series", "--t", "4", "--order", "0"],
+        ["series", "--t", "4", "--order", "300"],
+        ["quadform", "--h-max", "2"],
+        ["quadform", "--h-max", "1200"],
+    ],
+    ids=["count", "series0", "series300", "quadform2", "quadform1200"],
+)
+def test_json_table_has_the_bytes_of_json_dumps(capsys, argv):
+    # the expected text comes from the csv table through the json module
+    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    rows = [map(int, line.split(",")) for line in lines]
+    expected = json.dumps([dict(zip(header.split(","), row)) for row in rows], indent=2) + "\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == expected
+
+
+def test_json_table_edge_cases(capsys):
+    from argparse import Namespace
+
+    from corehooks.cli import _write_table
+
+    args = Namespace(format="json", out=None)
+    _write_table(args, ("n", "value"), [])
+    assert capsys.readouterr().out == "[]\n"
+    with pytest.raises(TypeError):
+        _write_table(args, ("n", "value"), [(1, "2")])
+    assert capsys.readouterr().out == ""
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "series.csv"
     code, out, _ = run_cli(

@@ -19,7 +19,9 @@ from corehooks.partition import Partition, parts_text
 
 from conftest import (
     _partition_from_vector,
+    class_number,
     five_core_count,
+    is_square_free,
     naive_hooks,
     naive_is_t_core,
     naive_partitions,
@@ -227,6 +229,19 @@ def test_counts_match_arithmetic_oracles():
     assert count_t_cores(10**6, 3) == three_core_count(10**6) == 4
     for n in (4999, 5000, 5001):
         assert count_t_cores(n, 5) == five_core_count(n), n
+
+
+def test_class_number_fixtures():
+    assert [class_number(d) for d in (-3, -4, -20, -23, -47, -71, -84)] == [1, 1, 2, 3, 5, 7, 4]
+
+
+def test_4core_counts_match_class_numbers():
+    # Ono-Sze: 2 a_4(n) = h(-(32n+20)) for every n with 8n+5 square-free
+    ns = [n for n in range(601) if is_square_free(8 * n + 5)]
+    assert len(ns) == 487
+    for n in ns + [10000, 10001, 10002, 20000]:
+        assert is_square_free(8 * n + 5), n
+        assert 2 * count_t_cores(n, 4) == class_number(-(32 * n + 20)), n
 
 
 def test_emitted_partitions_are_valid():

@@ -1,9 +1,11 @@
 import hashlib
+from math import isqrt
 
 import pytest
 
 from corehooks.quadform import (
     OddRepresentation,
+    _not_two_squares,
     check_triangular_4core_pair,
     is_dickson_excluded,
     odd_representation,
@@ -105,6 +107,21 @@ def test_odd_representations_pinned_through_6000():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "827e7b9075614e4bd59dfa7ec54d77419cdbb4de4ab662d624fc5fa3f3fa5afc"
     )
+
+
+def test_prime_rule_skips_only_halves_with_no_odd_pair():
+    # every half = 2 mod 8 below 3 * 10^5 that the rule skips is no sum
+    # y^2 + z^2 of odd y <= z, by listing every such sum
+    limit = 3 * 10**5
+    odd_pair_sums = {
+        y * y + z * z
+        for y in range(1, isqrt(limit // 2) + 1, 2)
+        for z in range(y, isqrt(limit - y * y) + 1, 2)
+    }
+    skipped = [half for half in range(2, limit, 8) if _not_two_squares(half)]
+    assert skipped and not odd_pair_sums.intersection(skipped)
+    # 3 and 7 divide 42 once; 3^2 | 18 = 9 + 9 and 7^2 | 98 = 49 + 49
+    assert _not_two_squares(42) and not _not_two_squares(18) and not _not_two_squares(98)
 
 
 def test_odd_representation_validation():

@@ -1,7 +1,7 @@
 import pytest
 
 from corehooks.generate import PartFilter, t_cores_up_to
-from corehooks.hookstats import FAILS, hook_count_table
+from corehooks.hookstats import FAILS, bias_table, hook_count_table
 from corehooks.partition import Cell, Partition
 from corehooks.verify import (
     CHECKS,
@@ -108,13 +108,21 @@ def test_region_scan_matches_brute_force():
 
 
 def test_region_scan_reports_violation_at_corner(monkeypatch):
-    # the property holds, so a violation is staged by masking every 3-hook
-    # as 0; for n <= 6 only the hook shapes of 6 have a corner hook of 6
+    # the property holds, so a violation is staged by masking every 3-hook:
+    # the corner test reports 3 as missing, and the sample search sees
+    # every 3-hook as 0; for n <= 6 only the hook shapes of 6 have a
+    # corner hook of 6
     from corehooks import verify
 
-    real = verify.hook_lengths_of
+    real_missing = verify._missing_hook_lengths
+    real_hooks = verify.hook_lengths_of
     monkeypatch.setattr(
-        verify, "hook_lengths_of", lambda parts: [h if h != 3 else 0 for h in real(parts)]
+        verify, "_missing_hook_lengths",
+        lambda parts, ts: [t for t in ts if t == 3 or t in real_missing(parts, ts)],
+    )
+    monkeypatch.setattr(
+        verify, "hook_lengths_of",
+        lambda parts: [h if h != 3 else 0 for h in real_hooks(parts)],
     )
     samples = []
     violations = region_theorem_scan(6, t_values=[3], samples=samples)
@@ -124,6 +132,17 @@ def test_region_scan_reports_violation_at_corner(monkeypatch):
     for w in violations:
         assert (w.hook_cell, w.hook_len, w.t, w.witness_cell) == (Cell(1, 1), 6, 3, None)
     assert samples == []
+
+
+def test_missing_hook_lengths_match_diagram_hooks():
+    # the first-column (beta number) test against hooks counted box by box
+    from corehooks.verify import _missing_hook_lengths
+
+    for n in range(1, 19):
+        ts = range(1, n + 2)
+        for parts in naive_partitions(n):
+            hooks = set(naive_hooks(parts))
+            assert _missing_hook_lengths(parts, ts) == [t for t in ts if t not in hooks], parts
 
 
 def test_region_scan_validation():
@@ -236,6 +255,19 @@ def test_conj15_failures_through_450():
     got = {r.n: tuple(r.values[(5, k)] for k in (1, 3, 6)) for r in fails}
     assert got == CONJ15_FAILS_TO_450
     assert [r.n for r in fails] == sorted(CONJ15_FAILS_TO_450)
+
+
+def test_conj15_failures_through_1200():
+    # the first link fails at ten n, the second only at 793, and every
+    # failing n is 1 mod 4
+    records = bias_table(5, [1, 3, 6], 0, 1200, relations=[">=", ">="])
+    first = [r.n for r in records if r.values[(5, 1)] < r.values[(5, 3)]]
+    second = [r.n for r in records if r.values[(5, 3)] < r.values[(5, 6)]]
+    assert first == [93, 213, 445, 561, 773, 837, 897, 1033, 1125, 1197]
+    assert second == [793]
+    failing = [r.n for r in records if r.verdict == FAILS]
+    assert failing == sorted(first + second)
+    assert all(n % 4 == 1 for n in failing)
 
 
 def test_conj15_reversal_at_213_through_walker():
