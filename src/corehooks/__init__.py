@@ -23,7 +23,6 @@ from .hookstats import (
     bias_table,
     cross_core_bias_table,
     hook_count_table,
-    per_partition_compare,
     total_hook_count,
 )
 from .partition import Cell, Partition
@@ -39,7 +38,6 @@ from .quadform import (
     check_triangular_4core_pair,
     is_dickson_excluded,
     odd_representation,
-    represent_ternary,
     representable_flags,
 )
 from .verify import (

@@ -5,52 +5,37 @@ partitions of n, optionally restricted to partitions avoiding a set of
 part values.  Totals come from the charge vectors of the cores on the
 t-abacus (see _abacus): a range table is one pass over every vector of
 size at most n_max, a point query one pass over the vectors of size n,
-and each core costs O(t) per hook length.  per_partition_compare, which
-reports single partitions, reads them from generate's ordered stream of
-the same vectors.  Every count is an exact integer.
+and each core costs O(t) per hook length.  Every count is an exact
+integer.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import eq, ge, le
 from typing import Sequence
 
 from . import _abacus
-from .generate import EMPTY_FILTER, PartFilter, _check_core_args, t_cores_of
-from .partition import Partition, hook_lengths_of
+from .generate import EMPTY_FILTER, PartFilter, _check_core_args
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
 NOT_APPLICABLE = "NOT-APPLICABLE"
 
-_RELATIONS = {
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-}
+_RELATIONS = {">=": ge, "<=": le, "=": eq}
 
 
 @dataclass
 class BiasRecord:
     """Hook-count values for one n plus an inequality verdict.
 
-    values maps (t, k) pairs to counts in request order.  witness is set
-    only when a per-partition check fails, and then holds the first
-    violating partition in stream order.
+    values maps (t, k) pairs to counts in request order.
     """
 
     n: int
     values: dict[tuple[int, int], int] = field(default_factory=dict)
     verdict: str = HOLDS
-    witness: Partition | None = None
-
-
-def relation_check(name: str, a: int, b: int) -> bool:
-    try:
-        return _RELATIONS[name](a, b)
-    except KeyError:
-        raise ValueError(f"unknown relation {name!r}; use >=, <= or =") from None
 
 
 def _engine_t(t: int, n_max: int) -> int:
@@ -152,7 +137,9 @@ def cross_core_bias_table(
             f"got {len(relations)}"
         )
     for r in relations:
-        relation_check(r, 0, 0)
+        if r not in _RELATIONS:
+            raise ValueError(f"unknown relation {r!r}; use >=, <= or =")
+    ops = [_RELATIONS[r] for r in relations]
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError(f"bad range {n_lo}..{n_hi}")
     swept: dict[int, tuple[list[Counter], list[int]]] = {}
@@ -167,49 +154,8 @@ def cross_core_bias_table(
             verdict = NOT_APPLICABLE
         else:
             vals = [values[p] for p in pairs]
-            ok = all(
-                relation_check(rel, vals[i], vals[i + 1])
-                for i, rel in enumerate(relations)
-            )
+            ok = all(op(a, b) for op, a, b in zip(ops, vals, vals[1:]))
             verdict = HOLDS if ok else FAILS
         out.append(BiasRecord(n=n, values=values, verdict=verdict))
     return out
 
-
-def per_partition_compare(
-    t: int,
-    n: int,
-    k1: int,
-    k2: int,
-    f: PartFilter = EMPTY_FILTER,
-) -> BiasRecord:
-    """Check counts[k1] >= counts[k2] for every single t-core of n.
-
-    HOLDS requires the inequality on each partition individually; on
-    failure the witness is the first violating partition in stream order.
-    NOT-APPLICABLE marks an empty universe.
-    """
-    total1 = total2 = 0
-    seen = False
-    witness = None
-    for p in t_cores_of(n, t, f):
-        seen = True
-        flat = hook_lengths_of(p.parts)
-        c1 = flat.count(k1)
-        c2 = flat.count(k2)
-        total1 += c1
-        total2 += c2
-        if witness is None and c1 < c2:
-            witness = p
-    if not seen:
-        verdict = NOT_APPLICABLE
-    elif witness is None:
-        verdict = HOLDS
-    else:
-        verdict = FAILS
-    return BiasRecord(
-        n=n,
-        values={(t, k1): total1, (t, k2): total2},
-        verdict=verdict,
-        witness=witness,
-    )

@@ -68,9 +68,8 @@ def parts_text(parts: tuple[int, ...]) -> str:
 class Partition:
     """A weakly decreasing sequence of positive integer parts.
 
-    Instances are immutable value objects: equal partitions hash equally and
-    are safe to share between workers.  The empty partition is the unique
-    partition of 0.
+    Instances are immutable value objects: equal partitions compare and
+    hash equally.  The empty partition is the unique partition of 0.
     """
 
     __slots__ = ("_parts", "_n")

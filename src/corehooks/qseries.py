@@ -6,80 +6,31 @@ product, the triangular-number indicator, and a triple series over shifted
 triangular numbers.  The t-core series is its product divided by
 Euler's pentagonal series: O(sqrt(n)) additions per coefficient, and
 every intermediate integer is a core count.  The numerator is a power of
-the pentagonal series, multiplied out term by term.  Coefficients are
-Python ints, so arithmetic is exact at any size.
+the pentagonal series, multiplied out term by term.  A series is a
+frozen tuple of Python int coefficients, read by exponent, so every
+value is exact at any size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from math import isqrt
 from operator import add, sub
-from typing import Mapping
 
 
+@dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients c[0..order] of a power series truncated at q^order.
+    """Coefficients c[0..order] of a power series truncated at q^order."""
 
-    Immutable.
-    """
+    coeffs: tuple[int, ...]
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=None):
-        if order < 0:
-            raise ValueError(f"order must be non-negative, got {order}")
-        if coeffs is None:
-            cs = (0,) * (order + 1)
-        else:
-            cs = tuple(int(c) for c in coeffs)
-            if len(cs) != order + 1:
-                raise ValueError(
-                    f"need exactly {order + 1} coefficients, got {len(cs)}"
-                )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def from_terms(cls, order: int, terms: Mapping[int, int]) -> "TruncatedSeries":
-        """Series with the given {exponent: coefficient} terms; exponents
-        beyond the order are discarded by truncation."""
-        cs = [0] * (order + 1)
-        for e, c in terms.items():
-            if e < 0:
-                raise ValueError(f"exponents must be non-negative, got {e}")
-            if e <= order:
-                cs[e] += int(c)
-        return cls(order, cs)
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.order > 7 else ""
-        return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
-
-    def _check_order(self, other: "TruncatedSeries"):
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} != {other.order}"
-            )
 
 
 def core_count_series(t: int, order: int) -> TruncatedSeries:
@@ -125,7 +76,7 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
             + sum(map(get, map(n.__sub__, adds[: bisect_right(adds, n)])))
             - sum(map(get, map(n.__sub__, subs[: bisect_right(subs, n)])))
         )
-    return TruncatedSeries(order, c)
+    return TruncatedSeries(tuple(c))
 
 
 def _euler_power(t: int, top: int, minus: list[int], plus: list[int]) -> list[int]:
@@ -158,7 +109,7 @@ def triangular_indicator_series(order: int) -> TruncatedSeries:
     while k * (k + 1) // 2 <= order:
         c[k * (k + 1) // 2] = 1
         k += 1
-    return TruncatedSeries(order, c)
+    return TruncatedSeries(tuple(c))
 
 
 def triple_triangular_series(order: int) -> TruncatedSeries:
@@ -186,7 +137,7 @@ def triple_triangular_series(order: int) -> TruncatedSeries:
                 s += 1
             r += 1
         m += 1
-    return TruncatedSeries(order, c)
+    return TruncatedSeries(tuple(c))
 
 
 def verify_identity(
@@ -194,7 +145,8 @@ def verify_identity(
 ) -> tuple[bool, int | None]:
     """Coefficientwise comparison; returns (True, None) on equality or
     (False, n) with the smallest mismatching exponent."""
-    lhs._check_order(rhs)
+    if lhs.order != rhs.order:
+        raise ValueError(f"order mismatch: {lhs.order} != {rhs.order}")
     for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
         if a != b:
             return False, n

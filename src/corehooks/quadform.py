@@ -6,6 +6,11 @@ positive integer not of the shape 4^a*(8b+7).  For h >= 2 the number
 forces a representation with x, y, z all odd; writing x=2m+1, y=2r+1,
 z=2s+1 turns it into h(h+1)/2 = m(m+1)/2 + r(r+1) + s(s+1), which
 supplies a second 4-core partition of every triangular number beyond 1.
+
+The module gives the exclusion test and a sieve of the represented
+integers (which agree), the lexicographically smallest all-odd
+representation, and check_triangular_4core_pair, the check of the claim
+itself against the triple triangular series and the 4-core counts.
 """
 
 from __future__ import annotations
@@ -66,28 +71,6 @@ def is_dickson_excluded(n: int) -> bool:
     while n % 4 == 0:
         n //= 4
     return n % 8 == 7
-
-
-def represent_ternary(n: int) -> tuple[int, int, int] | None:
-    """Lexicographically smallest (x, y, z) of non-negative integers with
-    x^2 + 2y^2 + 2z^2 = n, or None when no representation exists.
-
-    Bounded exhaustive search: x up to sqrt(n), y up to sqrt(n/2), z fixed
-    by the remainder.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    for x in range(isqrt(n) + 1):
-        rest = n - x * x
-        if rest % 2:
-            continue
-        half = rest // 2  # y^2 + z^2
-        for y in range(isqrt(half) + 1):
-            z2 = half - y * y
-            z = isqrt(z2)
-            if z * z == z2:
-                return (x, y, z)
-    return None
 
 
 def representable_flags(n_max: int) -> list[bool]:
@@ -190,12 +173,14 @@ def odd_representation(h: int) -> OddRepresentation:
     raise RuntimeError(f"no all-odd representation found for h={h}")
 
 
-def check_triangular_4core_pair(
-    h_max: int, enum_budget: int = 600
-) -> tuple[bool, list[str]]:
+# The largest n whose 4-cores check_triangular_4core_pair counts one by one.
+_ENUM_BUDGET = 600
+
+
+def check_triangular_4core_pair(h_max: int) -> tuple[bool, list[str]]:
     """For every 2 <= h <= h_max and n = h(h+1)/2: the triple triangular
-    series coefficient at n is at least 2, and (for n within the
-    enumeration budget) so is the number of 4-core partitions of n."""
+    series coefficient at n is at least 2, and (for n <= _ENUM_BUDGET) so
+    is the number of 4-core partitions of n."""
     if h_max < 2:
         raise ValueError(f"h_max must be at least 2, got {h_max}")
     n_top = h_max * (h_max + 1) // 2
@@ -205,6 +190,6 @@ def check_triangular_4core_pair(
         n = h * (h + 1) // 2
         if series[n] < 2:
             failures.append(f"series coefficient at n={n} is {series[n]} < 2")
-        if n <= enum_budget and count_t_cores(n, 4) < 2:
+        if n <= _ENUM_BUDGET and count_t_cores(n, 4) < 2:
             failures.append(f"fewer than two 4-cores of n={n}")
     return not failures, failures

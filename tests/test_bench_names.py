@@ -23,6 +23,14 @@ OWNERS = {
         "cli.main",
         "cli.total_hook_count",
         "cli.odd_representation",
+        # bench/tracer.py wraps these as spans
+        "cli.bias_table",
+        "cli.run_check",
+        "cli.bias_records_json",
+        "cli.core_count_series",
+        "verify.bias_table",
+        "verify.cross_core_bias_table",
+        "verify.hook_count_table",
         "corehooks.partitions_of",
         "corehooks.core_count_series",
         "corehooks.PartFilter",
@@ -42,6 +50,8 @@ def test_bench_calls_keep_their_signatures():
     # the calls as bench/checks.py and bench/pin.py make them
     assert [p.parts for p in corehooks.partitions_of(3)] == [(3,), (2, 1), (1, 1, 1)]
     assert corehooks.core_count_series(3, 6)[6] == 2
+    # the tracer counts qseries.coeffs as len(result.coeffs)
+    assert len(corehooks.core_count_series(3, 6).coeffs) == 7
     p = corehooks.Partition.from_text("[3,1]")
     assert p.n == 4 and p.is_t_core(5) and not p.is_t_core(4)
     f = corehooks.PartFilter(excluded=frozenset({1, 2}))

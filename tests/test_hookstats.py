@@ -10,7 +10,6 @@ from corehooks.hookstats import (
     bias_table,
     cross_core_bias_table,
     hook_count_table,
-    per_partition_compare,
     total_hook_count,
 )
 
@@ -136,26 +135,6 @@ def _cross_bias_table(t, ks, n_lo, n_hi, relations):
 def test_bias_table_validation(table, t, ks, n_lo, n_hi, relations):
     with pytest.raises(ValueError):
         table(t, ks, n_lo, n_hi, relations)
-
-
-def test_per_partition_fixtures():
-    r = per_partition_compare(4, 12, 1, 3)
-    assert r.verdict == HOLDS and r.witness is None
-
-    r = per_partition_compare(3, 10, 1, 2)
-    assert r.verdict == HOLDS
-
-    r = per_partition_compare(2, 6, 1, 3)
-    assert r.verdict == HOLDS and r.witness is None
-
-    r = per_partition_compare(2, 5, 1, 3)
-    assert r.verdict == NOT_APPLICABLE
-
-    # reversed comparison fails; first violator in stream order is (2,1)
-    r = per_partition_compare(4, 3, 3, 1)
-    assert r.verdict == FAILS
-    assert r.witness is not None and r.witness.parts == (2, 1)
-    assert r.values == {(4, 3): 3, (4, 1): 4}
 
 
 def test_cross_core_table():

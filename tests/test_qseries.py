@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from corehooks import _abacus
 from corehooks.generate import count_t_cores, iter_partition_parts
 from corehooks.qseries import (
-    TruncatedSeries,
     core_count_series,
     is_triangular,
     triangular_indicator_series,
@@ -19,16 +18,17 @@ from conftest import naive_core_series
 
 
 def test_mul_order_mismatch():
-    with pytest.raises(ValueError):
-        verify_identity(
-            TruncatedSeries.from_terms(3, {0: 1}), TruncatedSeries.from_terms(4, {0: 1})
-        )
+    with pytest.raises(ValueError, match="order mismatch: 3 != 4"):
+        verify_identity(core_count_series(3, 3), core_count_series(3, 4))
 
 
 def test_series_is_immutable():
-    s = TruncatedSeries.from_terms(3, {0: 1})
+    s = core_count_series(3, 3)
+    assert s.order == 3 and s.coeffs == (1, 1, 2, 0)
     with pytest.raises(AttributeError):
         s.order = 5
+    with pytest.raises(AttributeError):
+        s.coeffs = (1,)
 
 
 def test_core_series_t2_support():
