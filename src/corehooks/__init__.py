@@ -50,7 +50,6 @@ from .verify import (
     check_restricted_4core_formula,
     region_theorem_scan,
     run_check,
-    scan_bias_chain,
     scan_conjecture_5core,
 )
 

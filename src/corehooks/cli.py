@@ -5,8 +5,9 @@ subparser names its handler (set_defaults(run=...)), and main hands the
 parsed namespace straight to it; a handler parses and checks its own
 arguments and leaves to the library the checks it makes with the same
 text.  Output is machine readable (csv, json, or json lines), every
-integer printed as an exact decimal, and every table goes through one
-writer, _write_table.  Exit codes: 0 success / all checks hold, 1 a
+integer printed as an exact decimal; every table goes through one
+writer, _write_table, and every verify or conj-scan verdict through
+another, _write_report.  Exit codes: 0 success / all checks hold, 1 a
 counterexample or identity mismatch was found, 2 usage or I/O error, 141
 the reader of stdout closed the pipe early.
 """
@@ -272,12 +273,27 @@ def _seed_dump_payload(dump_targets, failing_n) -> dict:
             key = f"t={t},n={n}"
             if f.excluded:
                 key += ",exclude=" + ",".join(map(str, sorted(f.excluded)))
+            if f.min_part > 1:
+                key += f",min_part={f.min_part}"
             dump[key] = [str(p) for p in t_cores_of(n, t, f)]
     return dump
 
 
-def _report_path(check: str, out: str | None) -> str:
-    return out or f"{PROG}-{check}-report.json"
+def _write_report(args, name, report, holds, holds_line, fails_line) -> int:
+    """Finish a verdict command.  With --format json the report goes to
+    --out or stdout.  Otherwise a holding verdict prints holds_line, and
+    a failing one writes the report to --out or to
+    corehooks-<name>-report.json and prints fails_line and the path.
+    Returns the exit code: 0 when holds, 1 otherwise."""
+    if args.format == "json":
+        _write_output(json.dumps(report, indent=2) + "\n", args.out)
+    elif holds:
+        sys.stdout.write(holds_line + "\n")
+    else:
+        path = args.out or f"{PROG}-{name}-report.json"
+        _write_file(path, json.dumps(report, indent=2))
+        sys.stdout.write(f"{fails_line}\nreport: {path}\n")
+    return 0 if holds else 1
 
 
 def _cmd_verify(args) -> int:
@@ -297,19 +313,11 @@ def _cmd_verify(args) -> int:
         report["seed_dump"] = _seed_dump_payload(
             result.dump_targets, result.failing_n
         )
-    if args.format == "json":
-        _write_output(json.dumps(report, indent=2) + "\n", args.out)
-        return 0 if result.holds else 1
-    if result.holds:
-        sys.stdout.write(f"{result.check}: HOLDS. {result.summary}\n")
-        return 0
-    path = _report_path(result.check, args.out)
-    _write_file(path, json.dumps(report, indent=2))
-    sys.stdout.write(
-        f"{result.check}: COUNTEREXAMPLE FOUND. {result.summary}\n"
-        f"report: {path}\n"
+    return _write_report(
+        args, result.check, report, result.holds,
+        f"{result.check}: HOLDS. {result.summary}",
+        f"{result.check}: COUNTEREXAMPLE FOUND. {result.summary}",
     )
-    return 1
 
 
 def _cmd_conj_scan(args) -> int:
@@ -346,17 +354,11 @@ def _cmd_conj_scan(args) -> int:
         report["seed_dump"] = _seed_dump_payload([(t, f)], [r.n for r in fails])
     if args.format == "json":
         report["records"] = bias_records_json(records)
-        _write_output(json.dumps(report, indent=2) + "\n", args.out)
-        return 0 if not fails else 1
-    if not fails:
-        sys.stdout.write(f"chain holds for all n <= {n_max} (t={t}, ks={ks})\n")
-        return 0
-    path = _report_path(f"scan-t{t}", args.out)
-    _write_file(path, json.dumps(report, indent=2))
-    sys.stdout.write(
-        f"counterexamples at n = {[r.n for r in fails[:10]]}\nreport: {path}\n"
+    return _write_report(
+        args, f"scan-t{t}", report, not fails,
+        f"chain holds for all n <= {n_max} (t={t}, ks={ks})",
+        f"counterexamples at n = {[r.n for r in fails[:10]]}",
     )
-    return 1
 
 
 _ODD_FIELDS = ("h", "x", "y", "z", "m", "r", "s")

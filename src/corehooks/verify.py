@@ -2,16 +2,22 @@
 
 Includes the necessary multiplicity/gap conditions for 3-cores and
 4-cores, the hook-region containment scan, the closed-form checks for
-2-core hook counts and for restricted 4-core hook counts, and generic
-counterexample scanners for conjectured hook-count orderings.  Every
-check either passes over its whole range or reports the first (or all)
-failures with enough data to reproduce them.
+2-core hook counts and for restricted 4-core hook counts, the
+counterexample scan of the conjectured 5-core chain, and CHECKS, the
+named checks the CLI runs.  Each chain check is one row of one table,
+_CHAINS (a description, chains of (t, k) values, the relations between
+adjacent values and a part filter), and one runner, _run_chain, turns a
+row into a CheckResult.  Every check either passes over its whole range
+or reports the first (or all) failures with enough data to reproduce
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, islice, repeat
+from math import isqrt
 from operator import add, sub
 
 from .generate import (
@@ -28,7 +34,6 @@ from .hookstats import (
     hook_count_table,
 )
 from .partition import Cell, Partition, hook_lengths_of
-from .qseries import is_triangular
 
 
 @dataclass
@@ -234,44 +239,59 @@ def region_theorem_scan(
     return violations
 
 
+def _ladder_index(m: int) -> int:
+    """The largest L >= 1 with L*(L+1)/2 <= m, for m >= 0 (1 when m = 0)."""
+    return max(1, (isqrt(8 * m + 1) - 1) // 2)
+
+
 def check_2core_ladder(ell_max: int) -> tuple[bool, str | None]:
     """Verify by enumeration, for all n up to ell_max*(ell_max+1)/2:
 
-    at triangular n = L*(L+1)/2 there is exactly one 2-core, the odd hook
-    lengths 2k+1 appear exactly L-k times for 0 <= k <= L-1, even lengths
-    never appear, and consecutive odd-hook counts differ by exactly 1; at
-    every other n there is no 2-core at all.
+    at triangular n = L*(L+1)/2 there is exactly one 2-core, and its hook
+    lengths are the odd 2k+1, each exactly L-k times for 0 <= k <= L-1 (so
+    no even length appears and consecutive odd-hook counts differ by
+    exactly 1); at every other n there is no 2-core at all.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be positive, got {ell_max}")
     n_max = ell_max * (ell_max + 1) // 2
     tables, core_counts = hook_count_table(2, n_max)
+    # the hook counts of the one 2-core of each triangular n
+    ladders = {
+        L * (L + 1) // 2: {2 * k + 1: L - k for k in range(L)}
+        for L in range(ell_max + 1)
+    }
     for n in range(n_max + 1):
-        tri, ell = is_triangular(n)
-        tbl = tables[n]
-        if not tri:
-            if core_counts[n] != 0 or tbl:
-                return False, f"unexpected 2-core data at non-triangular n={n}"
-            continue
-        if core_counts[n] != 1:
-            return False, f"expected exactly one 2-core at n={n}, got {core_counts[n]}"
-        if sum(tbl.values()) != n:
-            return False, f"hook counts at n={n} do not cover all {n} boxes"
-        if any(k % 2 == 0 for k in tbl):
-            return False, f"even hook length present at n={n}"
-        for k in range(ell):
-            if tbl.get(2 * k + 1, 0) != ell - k:
-                return (
-                    False,
-                    f"count of {2*k+1}-hooks at n={n} is {tbl.get(2*k+1, 0)}, "
-                    f"expected {ell - k}",
-                )
-        if tbl.get(2 * ell + 1, 0) != 0:
-            return False, f"hooks longer than {2*ell-1} present at n={n}"
-        for k in range(ell - 1):
-            if tbl.get(2 * k + 1, 0) - tbl.get(2 * k + 3, 0) != 1:
-                return False, f"consecutive odd-hook difference not 1 at n={n}, k={k}"
+        want_cores = int(n in ladders)
+        want = ladders.get(n, {})
+        # compared as plain dicts: Counter.__eq__ would run first, and slowly
+        got = dict(tables[n])
+        if got != want or core_counts[n] != want_cores:
+            return False, (
+                f"2-cores of n={n}: {core_counts[n]} with hook counts {got}, "
+                f"expected {want_cores} with {want}"
+            )
     return True, None
+
+
+_NO_PARTS_1_2 = PartFilter(excluded=frozenset({1, 2}))
+
+
+def _restricted_formula_failure(records: list[BiasRecord], ell: int) -> str | None:
+    """Where the records of bias_table(4, [1, 3], 0, ..., no parts 1, 2),
+    one per n from 0, first break the closed form through L = ell: both
+    totals equal L at n = 3*L*(L+1)/2 and vanish at every other n.  None
+    when they keep it."""
+    expected = {3 * L * (L + 1) // 2: L for L in range(1, ell + 1)}
+    for r in records[: 3 * ell * (ell + 1) // 2 + 1]:
+        want = expected.get(r.n, 0)
+        got1, got3 = r.values[4, 1], r.values[4, 3]
+        if got1 != want or got3 != want:
+            return (
+                f"restricted 4-core hook counts at n={r.n}: 1-hooks={got1}, "
+                f"3-hooks={got3}, expected both {want}"
+            )
+    return None
 
 
 def check_restricted_4core_formula(ell_max: int) -> tuple[bool, str | None]:
@@ -281,34 +301,9 @@ def check_restricted_4core_formula(ell_max: int) -> tuple[bool, str | None]:
     if ell_max < 1:
         raise ValueError(f"ell_max must be positive, got {ell_max}")
     n_max = 3 * ell_max * (ell_max + 1) // 2
-    f = PartFilter(excluded=frozenset({1, 2}))
-    tables, _ = hook_count_table(4, n_max, f, ks=(1, 3))
-    expected = {3 * L * (L + 1) // 2: L for L in range(1, ell_max + 1)}
-    for n in range(n_max + 1):
-        want = expected.get(n, 0)
-        got1 = tables[n][1]
-        got3 = tables[n][3]
-        if got1 != want or got3 != want:
-            return (
-                False,
-                f"restricted 4-core hook counts at n={n}: 1-hooks={got1}, "
-                f"3-hooks={got3}, expected both {want}",
-            )
-    return True, None
-
-
-def scan_bias_chain(
-    t: int,
-    ks,
-    relations,
-    n_max: int,
-    f: PartFilter = EMPTY_FILTER,
-) -> list[BiasRecord]:
-    """Scan n = 0..n_max for counterexamples to a chain of hook-count
-    relations; returns only the FAILS records (empty means the chain held
-    everywhere on the range)."""
-    records = bias_table(t, ks, 0, n_max, f, relations)
-    return [r for r in records if r.verdict == FAILS]
+    records = bias_table(4, [1, 3], 0, n_max, _NO_PARTS_1_2, ["="])
+    msg = _restricted_formula_failure(records, ell_max)
+    return msg is None, msg
 
 
 def scan_conjecture_5core(n_max: int) -> list[BiasRecord]:
@@ -317,7 +312,8 @@ def scan_conjecture_5core(n_max: int) -> list[BiasRecord]:
     only; this reports, it does not assert."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    return scan_bias_chain(5, [1, 3, 6], [">=", ">="], n_max)
+    records = bias_table(5, [1, 3, 6], 0, n_max, relations=[">=", ">="])
+    return [r for r in records if r.verdict == FAILS]
 
 
 def necessity_scan(n_max: int) -> list[tuple[int, Partition, str]]:
@@ -345,8 +341,8 @@ class CheckResult:
     failures: list
     # (t, filter) pairs whose t-core sets at the failing n are worth
     # dumping for post-mortem inspection
-    dump_targets: list[tuple[int, PartFilter]]
-    failing_n: list[int]
+    dump_targets: list[tuple[int, PartFilter]] = field(default_factory=list)
+    failing_n: list[int] = field(default_factory=list)
     info: list | None = None  # non-failure report payload (e.g. sampled witnesses)
 
 
@@ -365,8 +361,39 @@ def bias_records_json(records) -> list[dict]:
     return out
 
 
-def _chain_check(name, t, ks, relations, n_max, f=EMPTY_FILTER, describe=""):
-    fails = scan_bias_chain(t, ks, relations, n_max, f)
+# The chain checks: name -> (description, chains of (t, k) values, the
+# relations between adjacent values of each chain, part filter).  Each
+# value is the total k-hooks over the t-cores of n that pass the filter.
+_CHAINS = {
+    "thm13": (
+        "3-core hook ordering 1 >= 2 >= 4",
+        [[(3, 1), (3, 2), (3, 4)]], [">=", ">="], EMPTY_FILTER,
+    ),
+    "thm14": ("4-core hook ordering 1 >= 3", [[(4, 1), (4, 3)]], [">="], EMPTY_FILTER),
+    "thm17": (
+        "restricted 4-core hook ordering 1 >= 3 (no part 1)",
+        [[(4, 1), (4, 3)]], [">="], PartFilter(excluded=frozenset({1})),
+    ),
+    "thm18": (
+        "restricted 5-core hook ordering 1 <= 3 (no parts 1, 2)",
+        [[(5, 1), (5, 3)]], ["<="], _NO_PARTS_1_2,
+    ),
+    "thm19": (
+        "2-core vs 4-core hook dominance (k = 1, 3)",
+        [[(2, 1), (4, 1)], [(2, 3), (4, 3)]], ["<="], EMPTY_FILTER,
+    ),
+    "conj15": (
+        "conjectured 5-core hook ordering 1 >= 3 >= 6",
+        [[(5, 1), (5, 3), (5, 6)]], [">=", ">="], EMPTY_FILTER,
+    ),
+}
+
+
+def _chain_result(name, n_max, describe, tables, dump_targets) -> CheckResult:
+    """The CheckResult of a check over n <= n_max whose chains gave the
+    BiasRecord lists in tables: it holds when no record fails."""
+    fails = [r for records in tables for r in records if r.verdict == FAILS]
+    failing_n = sorted({r.n for r in fails})
     return CheckResult(
         check=name,
         n_max=n_max,
@@ -374,18 +401,26 @@ def _chain_check(name, t, ks, relations, n_max, f=EMPTY_FILTER, describe=""):
         summary=(
             f"{describe}: holds for all n <= {n_max}"
             if not fails
-            else f"{describe}: fails at n = {[r.n for r in fails[:10]]}"
+            else f"{describe}: fails at n = {failing_n[:10]}"
         ),
         failures=bias_records_json(fails),
-        dump_targets=[(t, f)],
-        failing_n=[r.n for r in fails],
+        dump_targets=dump_targets,
+        failing_n=failing_n,
     )
 
 
+def _run_chain(name: str, n_max: int) -> CheckResult:
+    """Run the chain check of the _CHAINS row name: one
+    cross_core_bias_table per chain, and the row's t-cores, each t once,
+    as dump targets."""
+    describe, chains, relations, f = _CHAINS[name]
+    tables = [cross_core_bias_table(pairs, 0, n_max, relations, f) for pairs in chains]
+    ts = dict.fromkeys(t for pairs in chains for t, _ in pairs)
+    return _chain_result(name, n_max, describe, tables, [(t, f) for t in ts])
+
+
 def _check_prop21(n_max: int) -> CheckResult:
-    ell = 1
-    while (ell + 1) * (ell + 2) // 2 <= n_max:
-        ell += 1
+    ell = _ladder_index(n_max)
     ok, msg = check_2core_ladder(ell)
     return CheckResult(
         check="prop21",
@@ -397,48 +432,28 @@ def _check_prop21(n_max: int) -> CheckResult:
             else f"2-core odd-hook ladder: {msg}"
         ),
         failures=[] if ok else [msg],
-        dump_targets=[(2, EMPTY_FILTER)],
-        failing_n=[],
     )
 
 
 def _check_thm16(n_max: int) -> CheckResult:
-    f = PartFilter(excluded=frozenset({1, 2}))
-    res = _chain_check(
-        "thm16", 4, [1, 3], ["="], n_max, f,
-        "restricted 4-core 1-hook/3-hook equality (no parts 1, 2)",
+    """The 1-hook/3-hook equality over n <= n_max and the closed form
+    through the largest L with 3*L*(L+1)/2 <= n_max (L = 1 below n = 3),
+    both read from one restricted 4-core table."""
+    ell = _ladder_index(n_max // 3)
+    n_top = max(n_max, 3 * ell * (ell + 1) // 2)
+    records = bias_table(4, [1, 3], 0, n_top, _NO_PARTS_1_2, ["="])
+    res = _chain_result(
+        "thm16", n_max, "restricted 4-core 1-hook/3-hook equality (no parts 1, 2)",
+        [records[: n_max + 1]], [(4, _NO_PARTS_1_2)],
     )
-    ell = 1
-    while 3 * (ell + 1) * (ell + 2) // 2 <= n_max:
-        ell += 1
-    ok, msg = check_restricted_4core_formula(ell)
-    if not ok:
+    msg = _restricted_formula_failure(records, ell)
+    if msg is None:
+        res.summary += f"; closed form exact through L = {ell}"
+    else:
         res.holds = False
         res.failures.append(msg)
         res.summary += f"; closed form fails: {msg}"
-    else:
-        res.summary += f"; closed form exact through L = {ell}"
     return res
-
-
-def _check_thm19(n_max: int) -> CheckResult:
-    fails = []
-    for k in (1, 3):
-        records = cross_core_bias_table([(2, k), (4, k)], 0, n_max, ["<="])
-        fails.extend(r for r in records if r.verdict == FAILS)
-    return CheckResult(
-        check="thm19",
-        n_max=n_max,
-        holds=not fails,
-        summary=(
-            f"2-core vs 4-core hook dominance (k = 1, 3): holds for all n <= {n_max}"
-            if not fails
-            else f"2-core vs 4-core hook dominance fails at n = {[r.n for r in fails[:10]]}"
-        ),
-        failures=bias_records_json(fails),
-        dump_targets=[(2, EMPTY_FILTER), (4, EMPTY_FILTER)],
-        failing_n=sorted({r.n for r in fails}),
-    )
 
 
 def _check_region(n_max: int) -> CheckResult:
@@ -464,8 +479,6 @@ def _check_region(n_max: int) -> CheckResult:
             else f"hook-region containment: {len(violations)} violations"
         ),
         failures=[wjson(w) for w in violations],
-        dump_targets=[],
-        failing_n=[],
         info=[wjson(w) for w in samples],
     )
 
@@ -484,36 +497,14 @@ def _check_conditions(n_max: int) -> CheckResult:
         failures=[
             {"t": t, "partition": str(p), "failed": failed} for t, p, failed in bad
         ],
-        dump_targets=[],
-        failing_n=[],
     )
 
 
 CHECKS = {
     "prop21": _check_prop21,
-    "thm13": lambda n: _chain_check(
-        "thm13", 3, [1, 2, 4], [">=", ">="], n,
-        describe="3-core hook ordering 1 >= 2 >= 4",
-    ),
-    "thm14": lambda n: _chain_check(
-        "thm14", 4, [1, 3], [">="], n,
-        describe="4-core hook ordering 1 >= 3",
-    ),
     "thm16": _check_thm16,
-    "thm17": lambda n: _chain_check(
-        "thm17", 4, [1, 3], [">="], n, PartFilter(excluded=frozenset({1})),
-        "restricted 4-core hook ordering 1 >= 3 (no part 1)",
-    ),
-    "thm18": lambda n: _chain_check(
-        "thm18", 5, [1, 3], ["<="], n, PartFilter(excluded=frozenset({1, 2})),
-        "restricted 5-core hook ordering 1 <= 3 (no parts 1, 2)",
-    ),
-    "thm19": _check_thm19,
+    **{name: partial(_run_chain, name) for name in _CHAINS},
     "region": _check_region,
-    "conj15": lambda n: _chain_check(
-        "conj15", 5, [1, 3, 6], [">=", ">="], n,
-        describe="conjectured 5-core hook ordering 1 >= 3 >= 6",
-    ),
     "conditions": _check_conditions,
 }
 

@@ -245,6 +245,8 @@ RECORDED_SHA256 = [
     ("verify --check conj15 --n-max 100 --format json --seed-dump", 1, "2c5493448b8870bb69a93be0bd6c1a866da7d553b11dc9fc8f04c4087b1e75bd"),
     ("verify --check thm19 --n-max 60 --format json", 0, "b0dd9d82fac4778a084c730034f5c8f3ad202f0a21433eac639be9af8594c40a"),
     ("conj-scan --t 3 --ks 2,1 --relations >= --n-max 6 --format json", 1, "ba7d1ef4729546fa1aebce29d369549f21bae6ce999015150c235503e7d3ff09"),
+    ("verify --check thm16 --n-max 1000 --format json", 0, "8483aa3bcd09473b3625572191943f4177190ea0857a56b9192db5c50cb769a4"),
+    ("verify --check thm19 --n-max 400 --format json", 0, "6efe2c6e32f7de00ab379bf61f113524566ab08c4922e6ea6d7f47bada6ec0ad"),
 ]
 
 
@@ -255,6 +257,74 @@ def test_output_matches_recorded_sha256(capsys, argv, code, sha256):
     rc, out, _ = run_cli(capsys, *argv.split())
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# text-format verdicts that fail, each run in an empty directory: stdout
+# SHA-256 and the one report file it leaves, as recorded before verify and
+# conj-scan wrote their reports through one writer
+RECORDED_REPORTS = [
+    ("verify --check conj15 --n-max 100",
+     "41dc5b06ab104311d6b46353295deddca7b32991d037c14f428418cf9bd9ae5b",
+     "corehooks-conj15-report.json",
+     "b348bff37b37b5f7952e423f374dbad5c687b0653617951e0a8064425104f46d"),
+    ("verify --check conj15 --n-max 100 --seed-dump",
+     "41dc5b06ab104311d6b46353295deddca7b32991d037c14f428418cf9bd9ae5b",
+     "corehooks-conj15-report.json",
+     "472b9accebfeeea2b408030cbc80f8736d56093ffadaaff5a3055c170302e740"),
+    ("verify --check conj15 --n-max 100 --out r2.json",
+     "4f6b4a34a8dcfc84e69ba1763384aad3eea4eb6196c25bd0826a0ec20a3c0093",
+     "r2.json",
+     "b348bff37b37b5f7952e423f374dbad5c687b0653617951e0a8064425104f46d"),
+    ("conj-scan --n-max 100",
+     "7aa4663ca461e4fad208c302af56052a0475f268bac0df895b0bf091637c5a2b",
+     "corehooks-scan-t5-report.json",
+     "8b0faaafc80afd33fa7a2645dde19cd18789398be8148b392d2d8e06769b1de9"),
+    ("conj-scan --n-max 100 --seed-dump",
+     "7aa4663ca461e4fad208c302af56052a0475f268bac0df895b0bf091637c5a2b",
+     "corehooks-scan-t5-report.json",
+     "cbe82d6c15f1866248591d7b8451d6bc5354393abf107fad2b54c9e4a33b81db"),
+    ("conj-scan --n-max 100 --out r3.json",
+     "3fb17b91e5fa0ce3b162e2c87534315ba3e5e4c70ef2034c1d7750be7bbf316f",
+     "r3.json",
+     "8b0faaafc80afd33fa7a2645dde19cd18789398be8148b392d2d8e06769b1de9"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stdout_sha,report,report_sha", RECORDED_REPORTS, ids=[r[0] for r in RECORDED_REPORTS]
+)
+def test_failing_verdict_writes_recorded_report(
+    capsys, tmp_path, monkeypatch, argv, stdout_sha, report, report_sha
+):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, *argv.split())
+    assert (rc, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert [p.name for p in tmp_path.iterdir()] == [report]
+    assert hashlib.sha256((tmp_path / report).read_bytes()).hexdigest() == report_sha
+
+
+@pytest.mark.parametrize(
+    "restriction,suffix",
+    [
+        (["--min-part", "2"], ",min_part=2"),
+        (["--exclude", "1"], ",exclude=1"),
+        (["--exclude", "3", "--min-part", "2"], ",exclude=3,min_part=2"),
+    ],
+)
+def test_seed_dump_keys_name_the_filter(capsys, restriction, suffix):
+    # no part 1 and parts of at least 2 are the same restriction; the keys
+    # name it either way, so "t=4,n=2" never labels only some 4-cores of 2
+    code, out, _ = run_cli(
+        capsys, "conj-scan", "--t", "4", "--ks", "3,1", "--relations", ">=",
+        "--n-max", "12", "--format", "json", "--seed-dump", *restriction,
+    )
+    assert code == 1
+    assert json.loads(out)["seed_dump"] == {
+        f"t=4,n=2{suffix}": ["[2]"],
+        f"t=4,n=7{suffix}": ["[5,2]"],
+        f"t=4,n=8{suffix}": ["[4,2,2]"],
+    }
 
 
 class WriteRecorder:

@@ -1,7 +1,11 @@
+import json
+
 import pytest
 
+from corehooks import _abacus
+from corehooks.cli import main
 from corehooks.generate import PartFilter, t_cores_up_to
-from corehooks.hookstats import FAILS, bias_table, hook_count_table
+from corehooks.hookstats import FAILS, HOLDS, NOT_APPLICABLE, bias_table, hook_count_table
 from corehooks.partition import Cell, Partition
 from corehooks.verify import (
     CHECKS,
@@ -12,7 +16,6 @@ from corehooks.verify import (
     necessity_scan,
     region_theorem_scan,
     run_check,
-    scan_bias_chain,
     scan_conjecture_5core,
 )
 
@@ -159,6 +162,88 @@ def test_2core_ladder_small():
         check_2core_ladder(0)
 
 
+@pytest.mark.parametrize(
+    "n,hook,core_delta,message",
+    [
+        # 6 = 3*4/2 has the one 2-core [3,2,1]: three 1-hooks, two 3-hooks, one 5-hook
+        (6, 3, 0, "2-cores of n=6: 1 with hook counts {1: 3, 3: 3, 5: 1}, "
+         "expected 1 with {1: 3, 3: 2, 5: 1}"),
+        (5, None, 1, "2-cores of n=5: 1 with hook counts {}, expected 0 with {}"),
+    ],
+    ids=["hook-count", "core-count"],
+)
+def test_2core_ladder_names_the_wrong_n(monkeypatch, n, hook, core_delta, message):
+    # the ladder is a theorem, so a failure is staged by miscounting one n
+    from corehooks import verify
+
+    real = verify.hook_count_table
+
+    def miscounted(t, n_max):
+        tables, core_counts = real(t, n_max)
+        if hook is not None:
+            tables[n][hook] += 1
+        core_counts[n] += core_delta
+        return tables, core_counts
+
+    monkeypatch.setattr(verify, "hook_count_table", miscounted)
+    assert check_2core_ladder(4) == (False, message)
+
+
+def test_checks_name_the_largest_closed_form_step():
+    # the largest steps as the earlier while loops found them
+    for n_max in range(1, 201):
+        tri = 1
+        while (tri + 1) * (tri + 2) // 2 <= n_max:
+            tri += 1
+        ell = 1
+        while 3 * (ell + 1) * (ell + 2) // 2 <= n_max:
+            ell += 1
+        assert run_check("prop21", n_max).summary == (
+            f"2-core odd-hook ladder: exact for all n <= {tri * (tri + 1) // 2}"
+        )
+        summary = run_check("thm16", n_max).summary
+        assert summary.endswith(f"; closed form exact through L = {ell}"), n_max
+
+
+def test_thm16_sweeps_its_table_once(monkeypatch):
+    calls = []
+    real = _abacus.charge_vectors
+
+    def counted(t, n_max, exact):
+        calls.append((t, n_max, exact))
+        return real(t, n_max, exact)
+
+    monkeypatch.setattr(_abacus, "charge_vectors", counted)
+    assert run_check("thm16", 300).holds
+    assert calls == [(4, 300, False)]
+
+
+def test_thm19_reports_failures_of_both_chains(monkeypatch, capsys):
+    # thm19 is a theorem, so both chains are made to fail by reversing
+    # their relation: 2-core totals >= 4-core totals
+    from corehooks import verify
+
+    real = verify.cross_core_bias_table
+    monkeypatch.setattr(
+        verify, "cross_core_bias_table",
+        lambda pairs, n_lo, n_hi, relations, f: real(pairs, n_lo, n_hi, [">="], f),
+    )
+    res = run_check("thm19", 12)
+    assert not res.holds
+    # the k = 1 chain fails at 2..12 and the k = 3 chain at 3..12
+    assert [r["n"] for r in res.failures] == [*range(2, 13), *range(3, 13)]
+    assert res.failing_n == list(range(2, 13))
+    assert res.summary == (
+        "2-core vs 4-core hook dominance (k = 1, 3): "
+        "fails at n = [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"
+    )
+    code = main(["verify", "--check", "thm19", "--n-max", "12", "--format", "json", "--seed-dump"])
+    assert code == 1
+    dump = json.loads(capsys.readouterr().out)["seed_dump"]
+    assert list(dump) == [f"t={t},n={n}" for t in (2, 4) for n in range(2, 13)]
+    assert dump["t=2,n=6"] == ["[3,2,1]"] and dump["t=2,n=5"] == []
+
+
 def test_restricted_formula_small():
     ok, msg = check_restricted_4core_formula(4)
     assert ok, msg
@@ -182,10 +267,11 @@ def test_conjecture_scan_clean_up_to_60():
 
 def test_scan_reports_failures_with_values():
     # deliberately false chain: total 2-hooks never dominate 1-hooks
-    fails = scan_bias_chain(3, [2, 1], [">="], 5)
+    records = bias_table(3, [2, 1], 0, 5, relations=[">="])
+    fails = [r for r in records if r.verdict == FAILS]
     assert [r.n for r in fails] == [1, 4]
     assert fails[0].values == {(3, 2): 0, (3, 1): 1}
-    assert all(r.verdict == FAILS for r in fails)
+    assert {r.verdict for r in records if r.n not in (1, 4)} == {HOLDS, NOT_APPLICABLE}
 
 
 def test_per_partition_5core_min_part_3():
