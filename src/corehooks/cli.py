@@ -249,8 +249,8 @@ def _cmd_count(args) -> int:
     ks = _parse_hook_lengths(args.k, "k")
     n_lo, n_hi = _parse_n_range(args.n)
     f = _parse_filter(args.exclude, args.min_part)
-    if n_lo == n_hi and len(ks) == 1 and args.format == "csv" and args.out is None:
-        sys.stdout.write(f"{total_hook_count(n_lo, t, ks[0], f)}\n")
+    if n_lo == n_hi and len(ks) == 1 and args.format == "csv":
+        _write_output(f"{total_hook_count(n_lo, t, ks[0], f)}\n", args.out)
         return 0
     rows = []
     for n in range(n_lo, n_hi + 1):

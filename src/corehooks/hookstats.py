@@ -117,45 +117,63 @@ def cross_core_bias_table(
     relations: Sequence[str],
     f: PartFilter = EMPTY_FILTER,
 ) -> list[BiasRecord]:
-    """One BiasRecord per n in [n_lo, n_hi] comparing the values named by
-    pairs, (t, k) for the total k-hooks over the t-cores of n, under the
-    adjacent relations; each value may come from a different t.
+    """chain_tables with one chain: one BiasRecord per n in [n_lo, n_hi]
+    comparing the values named by pairs, (t, k) for the total k-hooks over
+    the t-cores of n, under the adjacent relations; each value may come
+    from a different t."""
+    return chain_tables([pairs], n_lo, n_hi, relations, f)[0]
+
+
+def chain_tables(
+    chains: Sequence[Sequence[tuple[int, int]]],
+    n_lo: int,
+    n_hi: int,
+    relations: Sequence[str],
+    f: PartFilter = EMPTY_FILTER,
+) -> list[list[BiasRecord]]:
+    """For each chain of (t, k) values, one BiasRecord per n in
+    [n_lo, n_hi] comparing the chain's values, the total k-hooks over the
+    t-cores of n, under the adjacent relations (the same for every chain).
 
     The verdict is HOLDS when every adjacent pair of values satisfies its
     relation, FAILS otherwise, and NOT-APPLICABLE when no t-core of n
-    passes the filter for any t involved (an empty universe, distinguished
-    from a checked truth).  Each t is swept once, for the ks it is paired
-    with.
+    passes the filter for any t of the chain (an empty universe,
+    distinguished from a checked truth).  Each t is swept once, for the
+    union of the ks it is paired with in any chain.
     """
-    pairs = [(int(t), int(k)) for t, k in pairs]
-    if not pairs:
+    chains = [[(int(t), int(k)) for t, k in pairs] for pairs in chains]
+    if not chains or not all(chains):
         raise ValueError("pairs must not be empty")
     relations = list(relations)
-    if len(relations) != len(pairs) - 1:
-        raise ValueError(
-            f"need {len(pairs) - 1} relations for {len(pairs)} value columns, "
-            f"got {len(relations)}"
-        )
+    for pairs in chains:
+        if len(relations) != len(pairs) - 1:
+            raise ValueError(
+                f"need {len(pairs) - 1} relations for {len(pairs)} value columns, "
+                f"got {len(relations)}"
+            )
     for r in relations:
         if r not in _RELATIONS:
             raise ValueError(f"unknown relation {r!r}; use >=, <= or =")
     ops = [_RELATIONS[r] for r in relations]
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError(f"bad range {n_lo}..{n_hi}")
-    swept: dict[int, tuple[list[Counter], list[int]]] = {}
-    for t, _ in pairs:
-        if t not in swept:
-            ks_for_t = sorted({k for tt, k in pairs if tt == t})
-            swept[t] = hook_count_table(t, n_hi, f, ks_for_t)
+    ks_of: dict[int, set[int]] = {}
+    for pairs in chains:
+        for t, k in pairs:
+            ks_of.setdefault(t, set()).add(k)
+    swept = {t: hook_count_table(t, n_hi, f, sorted(ks)) for t, ks in ks_of.items()}
     out = []
-    for n in range(n_lo, n_hi + 1):
-        values = {(t, k): swept[t][0][n][k] for t, k in pairs}
-        if all(swept[t][1][n] == 0 for t in swept):
-            verdict = NOT_APPLICABLE
-        else:
-            vals = [values[p] for p in pairs]
-            ok = all(op(a, b) for op, a, b in zip(ops, vals, vals[1:]))
-            verdict = HOLDS if ok else FAILS
-        out.append(BiasRecord(n=n, values=values, verdict=verdict))
+    for pairs in chains:
+        core_counts = [swept[t][1] for t in dict.fromkeys(t for t, _ in pairs)]
+        records = []
+        for n in range(n_lo, n_hi + 1):
+            values = {(t, k): swept[t][0][n][k] for t, k in pairs}
+            if all(counts[n] == 0 for counts in core_counts):
+                verdict = NOT_APPLICABLE
+            else:
+                vals = [values[p] for p in pairs]
+                ok = all(op(a, b) for op, a, b in zip(ops, vals, vals[1:]))
+                verdict = HOLDS if ok else FAILS
+            records.append(BiasRecord(n=n, values=values, verdict=verdict))
+        out.append(records)
     return out
-

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import isqrt
 from operator import add, sub
 
 
@@ -152,13 +151,3 @@ def verify_identity(
             return False, n
     return True, None
 
-
-def is_triangular(n: int) -> tuple[bool, int]:
-    """Whether n = k*(k+1)/2 for some k >= 0, and that k (0 when not)."""
-    if n < 0:
-        return False, 0
-    d = 8 * n + 1
-    r = isqrt(d)
-    if r * r != d:
-        return False, 0
-    return True, (r - 1) // 2

@@ -4,12 +4,13 @@ Includes the necessary multiplicity/gap conditions for 3-cores and
 4-cores, the hook-region containment scan, the closed-form checks for
 2-core hook counts and for restricted 4-core hook counts, the
 counterexample scan of the conjectured 5-core chain, and CHECKS, the
-named checks the CLI runs.  Each chain check is one row of one table,
-_CHAINS (a description, chains of (t, k) values, the relations between
-adjacent values and a part filter), and one runner, _run_chain, turns a
-row into a CheckResult.  Every check either passes over its whole range
-or reports the first (or all) failures with enough data to reproduce
-them.
+named checks the CLI runs: each name maps to a description and a runner,
+and run_check alone turns a runner's failures into a CheckResult.  Each
+chain check is one row of one table, _CHAINS (a description, chains of
+(t, k) values, the relations between adjacent values and a part filter),
+run by _run_chain with one sweep per t.  Every check either passes over
+its whole range or reports the first (or all) failures with enough data
+to reproduce them.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from .generate import (
     iter_partition_parts,
     t_cores_up_to,
 )
-from .hookstats import (
-    FAILS,
-    BiasRecord,
-    bias_table,
-    cross_core_bias_table,
-    hook_count_table,
-)
+from .hookstats import FAILS, BiasRecord, bias_table, chain_tables, hook_count_table
 from .partition import Cell, Partition, hook_lengths_of
 
 
@@ -61,15 +56,20 @@ class RegionWitness:
     witness_cell: Cell | None
 
 
-def _multiplicity_rows(p: Partition) -> list[tuple[int, int, int]]:
-    """(value, multiplicity, gap to next value) rows; the value after the
-    last distinct part is taken to be 0."""
+def _multiplicity_rows(p: Partition):
+    """The (multiplicity, gap to next value) rows of the multiplicity view,
+    the value after the last distinct part taken to be 0, and the interior
+    steps (multiplicity, gap, multiplicity of the next value) between
+    adjacent rows."""
     view = p.multiplicity_view()
-    out = []
-    for i, (value, mult) in enumerate(view):
-        nxt = view[i + 1][0] if i + 1 < len(view) else 0
-        out.append((value, mult, value - nxt))
-    return out
+    below = [v for v, _ in view[1:]] + [0]
+    rows = [(m, v - nxt) for (v, m), nxt in zip(view, below)]
+    steps = [(m, g, m2) for (m, g), (m2, _) in zip(rows, rows[1:])]
+    return rows, steps
+
+
+def _condition_report(p: Partition, checks: list[tuple[str, bool]]) -> ConditionReport:
+    return ConditionReport(subject=p, checks=checks, overall=all(ok for _, ok in checks))
 
 
 def check_3core_conditions(p: Partition) -> ConditionReport:
@@ -85,20 +85,13 @@ def check_3core_conditions(p: Partition) -> ConditionReport:
     3C and 3D constrain interior steps only (there is no value below the
     last one to compare with).
     """
-    rows = _multiplicity_rows(p)
-    a = all(m <= 2 for _, m, _ in rows)
-    b = all(g <= 2 for _, _, g in rows)
-    c = True
-    d = True
-    for i in range(len(rows) - 1):
-        _, mult, gap = rows[i]
-        next_mult = rows[i + 1][1]
-        if mult == 2 and gap != 1:
-            c = False
-        if gap == 1 and next_mult != 2:
-            d = False
-    checks = [("3A", a), ("3B", b), ("3C", c), ("3D", d)]
-    return ConditionReport(subject=p, checks=checks, overall=a and b and c and d)
+    rows, steps = _multiplicity_rows(p)
+    return _condition_report(p, [
+        ("3A", all(m <= 2 for m, _ in rows)),
+        ("3B", all(g <= 2 for _, g in rows)),
+        ("3C", all(g == 1 for m, g, _ in steps if m == 2)),
+        ("3D", all(m2 == 2 for _, g, m2 in steps if g == 1)),
+    ])
 
 
 def check_4core_conditions(p: Partition) -> ConditionReport:
@@ -116,26 +109,15 @@ def check_4core_conditions(p: Partition) -> ConditionReport:
     Steps onto the sentinel 0 carry no landing constraint: there is no
     part below the diagram to restrict.
     """
-    rows = _multiplicity_rows(p)
-    a = all(m <= 3 for _, m, _ in rows)
-    b = all(g <= 3 for _, _, g in rows)
-    c = all(m == 1 for _, m, g in rows if g == 3)
-    d = all(m <= 2 for _, m, g in rows if g == 2)
-    e = True
-    for i in range(len(rows) - 1):
-        _, mult, gap = rows[i]
-        next_mult = rows[i + 1][1]
-        if gap == 2 and next_mult not in (2, 3):
-            d = False
-        if gap == 1:
-            if next_mult == 2:
-                e = False
-            if mult >= 2 and next_mult != 3:
-                e = False
-    checks = [("4A", a), ("4B", b), ("4C", c), ("4D", d), ("4E", e)]
-    return ConditionReport(
-        subject=p, checks=checks, overall=a and b and c and d and e
-    )
+    rows, steps = _multiplicity_rows(p)
+    return _condition_report(p, [
+        ("4A", all(m <= 3 for m, _ in rows)),
+        ("4B", all(g <= 3 for _, g in rows)),
+        ("4C", all(m == 1 for m, g in rows if g == 3)),
+        ("4D", all(m <= 2 for m, g in rows if g == 2)
+         and all(m2 in (2, 3) for _, g, m2 in steps if g == 2)),
+        ("4E", all(m2 != 2 and (m < 2 or m2 == 3) for m, g, m2 in steps if g == 1)),
+    ])
 
 
 def _region_samples(parts: tuple[int, ...], hooks: list[int], t: int):
@@ -389,134 +371,107 @@ _CHAINS = {
 }
 
 
-def _chain_result(name, n_max, describe, tables, dump_targets) -> CheckResult:
-    """The CheckResult of a check over n <= n_max whose chains gave the
-    BiasRecord lists in tables: it holds when no record fails."""
+def _table_verdict(tables, n_max: int):
+    """The failures (as json), summary tail and sorted failing n of the
+    BiasRecord lists in tables, a check over n <= n_max."""
     fails = [r for records in tables for r in records if r.verdict == FAILS]
     failing_n = sorted({r.n for r in fails})
-    return CheckResult(
-        check=name,
-        n_max=n_max,
-        holds=not fails,
-        summary=(
-            f"{describe}: holds for all n <= {n_max}"
-            if not fails
-            else f"{describe}: fails at n = {failing_n[:10]}"
-        ),
-        failures=bias_records_json(fails),
-        dump_targets=dump_targets,
-        failing_n=failing_n,
+    tail = f"fails at n = {failing_n[:10]}" if fails else f"holds for all n <= {n_max}"
+    return bias_records_json(fails), tail, failing_n
+
+
+def _run_chain(name: str, n_max: int):
+    """The chain check of the _CHAINS row name: one chain_tables sweep,
+    and the row's t-cores, each t once, as dump targets."""
+    _, chains, relations, f = _CHAINS[name]
+    failures, tail, failing_n = _table_verdict(
+        chain_tables(chains, 0, n_max, relations, f), n_max
     )
-
-
-def _run_chain(name: str, n_max: int) -> CheckResult:
-    """Run the chain check of the _CHAINS row name: one
-    cross_core_bias_table per chain, and the row's t-cores, each t once,
-    as dump targets."""
-    describe, chains, relations, f = _CHAINS[name]
-    tables = [cross_core_bias_table(pairs, 0, n_max, relations, f) for pairs in chains]
     ts = dict.fromkeys(t for pairs in chains for t, _ in pairs)
-    return _chain_result(name, n_max, describe, tables, [(t, f) for t in ts])
+    return failures, tail, {"dump_targets": [(t, f) for t in ts], "failing_n": failing_n}
 
 
-def _check_prop21(n_max: int) -> CheckResult:
+def _check_prop21(n_max: int):
     ell = _ladder_index(n_max)
     ok, msg = check_2core_ladder(ell)
-    return CheckResult(
-        check="prop21",
-        n_max=n_max,
-        holds=ok,
-        summary=(
-            f"2-core odd-hook ladder: exact for all n <= {ell*(ell+1)//2}"
-            if ok
-            else f"2-core odd-hook ladder: {msg}"
-        ),
-        failures=[] if ok else [msg],
-    )
+    if ok:
+        return [], f"exact for all n <= {ell * (ell + 1) // 2}", {}
+    return [msg], msg, {}
 
 
-def _check_thm16(n_max: int) -> CheckResult:
+def _check_thm16(n_max: int):
     """The 1-hook/3-hook equality over n <= n_max and the closed form
     through the largest L with 3*L*(L+1)/2 <= n_max (L = 1 below n = 3),
     both read from one restricted 4-core table."""
     ell = _ladder_index(n_max // 3)
     n_top = max(n_max, 3 * ell * (ell + 1) // 2)
     records = bias_table(4, [1, 3], 0, n_top, _NO_PARTS_1_2, ["="])
-    res = _chain_result(
-        "thm16", n_max, "restricted 4-core 1-hook/3-hook equality (no parts 1, 2)",
-        [records[: n_max + 1]], [(4, _NO_PARTS_1_2)],
-    )
+    failures, tail, failing_n = _table_verdict([records[: n_max + 1]], n_max)
     msg = _restricted_formula_failure(records, ell)
     if msg is None:
-        res.summary += f"; closed form exact through L = {ell}"
+        tail += f"; closed form exact through L = {ell}"
     else:
-        res.holds = False
-        res.failures.append(msg)
-        res.summary += f"; closed form fails: {msg}"
-    return res
+        failures.append(msg)
+        tail += f"; closed form fails: {msg}"
+    return failures, tail, {"dump_targets": [(4, _NO_PARTS_1_2)], "failing_n": failing_n}
 
 
-def _check_region(n_max: int) -> CheckResult:
+def _witness_json(w: RegionWitness) -> dict:
+    return {
+        "partition": str(w.partition),
+        "hook_cell": list(w.hook_cell),
+        "hook_len": w.hook_len,
+        "t": w.t,
+        "witness_cell": list(w.witness_cell) if w.witness_cell else None,
+    }
+
+
+def _check_region(n_max: int):
     samples: list[RegionWitness] = []
     violations = region_theorem_scan(n_max, samples=samples)
-
-    def wjson(w: RegionWitness) -> dict:
-        return {
-            "partition": str(w.partition),
-            "hook_cell": list(w.hook_cell),
-            "hook_len": w.hook_len,
-            "t": w.t,
-            "witness_cell": list(w.witness_cell) if w.witness_cell else None,
-        }
-
-    return CheckResult(
-        check="region",
-        n_max=n_max,
-        holds=not violations,
-        summary=(
-            f"hook-region containment: no violations for n <= {n_max}"
-            if not violations
-            else f"hook-region containment: {len(violations)} violations"
-        ),
-        failures=[wjson(w) for w in violations],
-        info=[wjson(w) for w in samples],
+    tail = f"{len(violations)} violations" if violations else f"no violations for n <= {n_max}"
+    return (
+        [_witness_json(w) for w in violations], tail,
+        {"info": [_witness_json(w) for w in samples]},
     )
 
 
-def _check_conditions(n_max: int) -> CheckResult:
+def _check_conditions(n_max: int):
     bad = necessity_scan(n_max)
-    return CheckResult(
-        check="conditions",
-        n_max=n_max,
-        holds=not bad,
-        summary=(
-            f"3-core and 4-core structural conditions: necessary for all n <= {n_max}"
-            if not bad
-            else f"structural conditions fail on {len(bad)} core partitions"
-        ),
-        failures=[
-            {"t": t, "partition": str(p), "failed": failed} for t, p, failed in bad
-        ],
-    )
+    tail = f"fail on {len(bad)} core partitions" if bad else f"necessary for all n <= {n_max}"
+    return [{"t": t, "partition": str(p), "failed": failed} for t, p, failed in bad], tail, {}
 
 
+# name -> (description, runner).  A runner takes n_max and returns the
+# failures, the summary tail and any extra CheckResult fields.
 CHECKS = {
-    "prop21": _check_prop21,
-    "thm16": _check_thm16,
-    **{name: partial(_run_chain, name) for name in _CHAINS},
-    "region": _check_region,
-    "conditions": _check_conditions,
+    "prop21": ("2-core odd-hook ladder", _check_prop21),
+    "thm16": (
+        "restricted 4-core 1-hook/3-hook equality (no parts 1, 2)", _check_thm16
+    ),
+    **{name: (row[0], partial(_run_chain, name)) for name, row in _CHAINS.items()},
+    "region": ("hook-region containment", _check_region),
+    "conditions": ("3-core and 4-core structural conditions", _check_conditions),
 }
 
 
 def run_check(name: str, n_max: int) -> CheckResult:
-    """Run one named verification check over n <= n_max."""
+    """Run one named verification check over n <= n_max; it holds when
+    its runner reports no failure."""
     try:
-        fn = CHECKS[name]
+        description, runner = CHECKS[name]
     except KeyError:
         raise ValueError(
             f"unknown check {name!r}; choose from {sorted(CHECKS)}"
         ) from None
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    return fn(n_max)
+    failures, tail, extra = runner(n_max)
+    return CheckResult(
+        check=name,
+        n_max=n_max,
+        holds=not failures,
+        summary=f"{description}: {tail}",
+        failures=failures,
+        **extra,
+    )

@@ -29,7 +29,6 @@ OWNERS = {
         "cli.bias_records_json",
         "cli.core_count_series",
         "verify.bias_table",
-        "verify.cross_core_bias_table",
         "verify.hook_count_table",
         "corehooks.partitions_of",
         "corehooks.core_count_series",

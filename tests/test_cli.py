@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -27,10 +28,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_count_single_value(capsys):
+def test_count_single_value(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "count", "--t", "4", "--k", "1", "--n", "4")
     assert code == 0
     assert out == "1\n"
+    # --out gets the bytes stdout would have
+    target = tmp_path / "count.csv"
+    code, out, _ = run_cli(capsys, "count", "--t", "4", "--k", "1", "--n", "4", "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == "1\n"
 
 
 def test_count_rejects_negative_n(capsys):
@@ -75,6 +81,7 @@ ERROR_CONTRACT = [
     ("count --t 1 --k 1,2 --n 3..5", "t must be at least 2, got 1"),
     ("count --t 3 --k 1 --n 5..3", "invalid n range '5..3'"),
     ("count --t 3 --k x --n 3", "k must be an integer, got 'x'"),
+    ("count --t 3 --k , --n 3", "k must not be empty"),
     ("count --t 3 --k 1 --n 3 --exclude 0", "excluded part values must be positive"),
     ("count --t 3 --k 1 --n 3 --min-part 0", "min-part must be positive, got 0"),
     ("count --t 1 --k 1 --n 3 --min-part 0", "min-part must be positive, got 0"),
@@ -578,6 +585,18 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, target_is_dir):
     assert err.startswith("corehooks: error: ") and str(target) in err
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == (["target"] if target_is_dir else [])
+
+
+def test_failed_rename_removes_temp_file(capsys, tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    target = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, "series", "--t", "3", "--order", "5", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("corehooks: error: ") and str(target) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_subcommand_exits_2(capsys):

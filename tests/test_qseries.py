@@ -2,13 +2,11 @@ from collections import Counter
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, strategies as st
 
 from corehooks import _abacus
 from corehooks.generate import count_t_cores, iter_partition_parts
 from corehooks.qseries import (
     core_count_series,
-    is_triangular,
     triangular_indicator_series,
     triple_triangular_series,
     verify_identity,
@@ -125,11 +123,3 @@ def test_truncation_coherence(t):
     for m in (0, 1, 17, 119):
         assert long.coeffs[: m + 1] == core_count_series(t, m).coeffs
 
-
-@given(st.integers(min_value=0, max_value=5000))
-def test_is_triangular(n):
-    tri, ell = is_triangular(n)
-    if tri:
-        assert ell * (ell + 1) // 2 == n
-    else:
-        assert all(k * (k + 1) // 2 != n for k in range(101))

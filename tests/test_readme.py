@@ -5,6 +5,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from corehooks.verify import CHECKS
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -21,3 +23,9 @@ def test_readme_example_runs_and_its_comments_hold():
     total_hook_count = ns["total_hook_count"]
     assert total_hook_count(6, 2, 1) == 3
     assert total_hook_count(9, 4, 1, ns["no_small"]) == 2
+
+
+def test_readme_check_table_lists_every_check():
+    table = re.search(r"### Verification checks\n\n(.*?)\n\n", README.read_text(), re.S).group(1)
+    names = [line.split("|")[1].strip() for line in table.splitlines()[2:]]
+    assert sorted(names) == sorted(CHECKS)

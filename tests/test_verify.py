@@ -59,6 +59,42 @@ def test_4core_condition_fixtures():
     assert check_4core_conditions(Partition(())).overall
 
 
+@pytest.mark.parametrize(
+    "checker,parts,failed",
+    [
+        # a repeated value followed by a step of 2
+        (check_3core_conditions, (3, 3, 1), ["3C"]),
+        # an interior step of 2 that lands on multiplicity 1
+        (check_4core_conditions, (3, 1), ["4D"]),
+        # an interior step of 1 that lands on multiplicity 2
+        (check_4core_conditions, (2, 1, 1), ["4E"]),
+        # a step of 1 from multiplicity 2 that lands on multiplicity 1
+        (check_4core_conditions, (2, 2, 1), ["4E"]),
+    ],
+    ids=["3C", "4D-landing", "4E-onto-2", "4E-from-2"],
+)
+def test_condition_failures_name_the_rule(checker, parts, failed):
+    rep = checker(Partition(parts))
+    assert failed_ids(rep) == failed and not rep.overall
+
+
+def test_conditions_failure_is_reported(monkeypatch):
+    # no core fails its conditions, so 4-cores are staged against the 3-core rules
+    from corehooks import verify
+
+    monkeypatch.setattr(verify, "check_4core_conditions", check_3core_conditions)
+    res = run_check("conditions", 6)
+    assert not res.holds
+    assert res.summary == "3-core and 4-core structural conditions: fail on 8 core partitions"
+    assert res.failures == [
+        {"t": 4, "partition": p, "failed": failed}
+        for p, failed in [
+            ("[3]", "3B"), ("[2,1]", "3D"), ("[1,1,1]", "3A"), ("[4,1]", "3B"),
+            ("[2,1,1,1]", "3A,3D"), ("[4,1,1]", "3B"), ("[3,2,1]", "3D"), ("[3,1,1,1]", "3A"),
+        ]
+    ]
+
+
 def test_conditions_necessary_for_cores():
     assert necessity_scan(40) == []
 
@@ -218,16 +254,26 @@ def test_thm16_sweeps_its_table_once(monkeypatch):
     assert calls == [(4, 300, False)]
 
 
+def test_thm19_sweeps_each_t_once(monkeypatch):
+    calls = []
+    real = _abacus.charge_vectors
+
+    def counted(t, n_max, exact):
+        calls.append((t, n_max, exact))
+        return real(t, n_max, exact)
+
+    monkeypatch.setattr(_abacus, "charge_vectors", counted)
+    assert run_check("thm19", 300).holds
+    assert calls == [(2, 300, False), (4, 300, False)]
+
+
 def test_thm19_reports_failures_of_both_chains(monkeypatch, capsys):
     # thm19 is a theorem, so both chains are made to fail by reversing
     # their relation: 2-core totals >= 4-core totals
     from corehooks import verify
 
-    real = verify.cross_core_bias_table
-    monkeypatch.setattr(
-        verify, "cross_core_bias_table",
-        lambda pairs, n_lo, n_hi, relations, f: real(pairs, n_lo, n_hi, [">="], f),
-    )
+    description, chains, _, f = verify._CHAINS["thm19"]
+    monkeypatch.setitem(verify._CHAINS, "thm19", (description, chains, [">="], f))
     res = run_check("thm19", 12)
     assert not res.holds
     # the k = 1 chain fails at 2..12 and the k = 3 chain at 3..12
@@ -242,6 +288,30 @@ def test_thm19_reports_failures_of_both_chains(monkeypatch, capsys):
     dump = json.loads(capsys.readouterr().out)["seed_dump"]
     assert list(dump) == [f"t={t},n={n}" for t in (2, 4) for n in range(2, 13)]
     assert dump["t=2,n=6"] == ["[3,2,1]"] and dump["t=2,n=5"] == []
+
+
+def test_thm16_reports_a_wrong_restricted_count(monkeypatch):
+    # thm16 is a theorem, so one restricted 4-core 1-hook count is staged wrong
+    from corehooks import hookstats
+
+    real = hookstats.hook_count_table
+
+    def miscounted(t, n_max, f, ks):
+        tables, core_counts = real(t, n_max, f, ks)
+        tables[9][1] += 1
+        return tables, core_counts
+
+    monkeypatch.setattr(hookstats, "hook_count_table", miscounted)
+    res = run_check("thm16", 20)
+    msg = "restricted 4-core hook counts at n=9: 1-hooks=3, 3-hooks=2, expected both 2"
+    assert not res.holds and res.failing_n == [9]
+    assert res.summary == (
+        "restricted 4-core 1-hook/3-hook equality (no parts 1, 2): fails at n = [9]; "
+        f"closed form fails: {msg}"
+    )
+    assert res.failures == [
+        {"n": 9, "verdict": FAILS, "values": {"4.1": 3, "4.3": 2}, "witness": None}, msg
+    ]
 
 
 def test_restricted_formula_small():
