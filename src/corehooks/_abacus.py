@@ -33,6 +33,18 @@ a positive unit on coordinate c >= i costs at least 2i + 1 and a negative
 unit at least 1.  The last two coordinates are solved, not searched: their
 sum is fixed, so their cost is a quadratic in x_{t-2}.
 
+Two prunings act in that last step, where the prefix x_0..x_{t-3} is
+fixed, y = x_{t-2} runs over an interval and x_{t-1} is the rest of the
+sum.  Conjugation maps x to (-x_{t-1}, ..., -x_0), another core of the
+same size with the same hooks, so a total over all cores needs one core
+of each conjugate pair, weighted: the y with x_0 + x_{t-1} >= 0, the
+core counting twice when the sum is positive.  And a core has no part 1
+exactly when min(z) + 1 is in z; with the minimum of the prefix carried
+down the search, the y that satisfy this are one span and at most two
+single values, found in O(1).  Hook tables and core counts with no
+filter use the pairing, and a filter that forbids 1 uses the narrowing;
+ordered streams of cores use no pairing, so they see every core.
+
 Everything here is iterative, and the callers pass t no larger than
 n + 1, so the work is bounded by n and never by t.
 """
@@ -48,10 +60,19 @@ if TYPE_CHECKING:
     from .generate import PartFilter
 
 
-def charge_vectors(t: int, n_max: int, exact: bool) -> Iterator[tuple[int, list[int]]]:
-    """Yield (n, z) for every t-core of size n <= n_max, or n == n_max
+def charge_vectors(
+    t: int, n_max: int, exact: bool, paired: bool = False, no_ones: bool = False
+) -> Iterator[tuple[int, list[int], int]]:
+    """Yield (n, z, m) for the t-cores of size n <= n_max, or n == n_max
     when exact, in no particular order.  z is one list, rewritten in place
-    between yields."""
+    between yields, and m is the number of cores z stands for.
+
+    By default every core comes once, with m = 1.  paired yields one core
+    of each conjugate pair: a core with x_0 + x_{t-1} > 0 stands for itself
+    and its conjugate (m = 2), one with x_0 + x_{t-1} = 0 for itself alone,
+    and one with x_0 + x_{t-1} < 0 is left out.  no_ones yields only the
+    cores with no part 1 when t >= 3; at t = 2 it drops nothing.
+    """
     budget = 2 * n_max
     z = list(range(t))
     tails = [0] * (t + 1)  # tails[i] = G_i
@@ -60,31 +81,7 @@ def charge_vectors(t: int, n_max: int, exact: bool) -> Iterator[tuple[int, list[
     last = t - 2  # x_{t-2} is solved with x_{t-1}
     z_last, z_end = last, t - 1
     t4 = 4 * t
-
-    def pair(s: int, w: int) -> Iterator[tuple[int, list[int]]]:
-        # x_{t-2} = y and x_{t-1} = -s - y cost 2t*y^2 - b*y + c0 together
-        r_sum = -s
-        b = 2 * t * r_sum + 2
-        c0 = t * r_sum * r_sum + (t - 1) * r_sum
-        room = budget - w
-        disc = b * b - 8 * t * (c0 - room)
-        if disc < 0:
-            return
-        root = isqrt(disc)
-        if exact:
-            if root * root != disc:
-                return
-            ys = {(b - root) // t4, (b + root) // t4}
-            for y in ys:
-                if (t4 * y - b) ** 2 == disc:
-                    z[z_last] = z_last + t * y
-                    z[z_end] = z_end + t * (r_sum - y)
-                    yield n_max, z
-            return
-        for y in range(-((root - b) // t4), (b + root) // t4 + 1):
-            z[z_last] = z_last + t * y
-            z[z_end] = z_end + t * (r_sum - y)
-            yield (w + 2 * t * y * y - b * y + c0) >> 1, z
+    big = budget + 1  # above |x_c| for every core within the budget
 
     def interval(j: int, r_sum: int, room: int) -> tuple[int, int]:
         # the x_j whose completion on j+1..t-1 (sum r_sum - x_j) can stay
@@ -99,36 +96,125 @@ def charge_vectors(t: int, n_max: int, exact: bool) -> Iterator[tuple[int, list[
         root = isqrt(e // t)
         return -((b1 + root) // a2), (root - b1) // a2
 
-    if last == 0:
-        yield from pair(0, 0)
-        return
-    sums = [0] * last
-    costs = [0] * last
-    xs = [0] * last
-    tops = [0] * last
-    lo, tops[0] = interval(0, 0, budget)
-    xs[0] = lo - 1
-    j = 0
-    while j >= 0:
-        x = xs[j] + 1
-        if x > tops[j]:
-            j -= 1
+    def prefixes() -> Iterator[tuple[int, int, int]]:
+        # (sum, cost, low) for each prefix x_0..x_{t-3} whose completion can
+        # stay within the budget, with z_0..z_{t-3} set; low is the minimum
+        # of z_0..z_{t-4}
+        if last == 0:
+            yield 0, 0, 0
+            return
+        sums = [0] * last
+        costs = [0] * last
+        # lows[j] = min(z_0..z_{j-1}), carried like costs when narrowing
+        lows = [t * big] * last
+        xs = [0] * last
+        tops = [0] * last
+        lo, tops[0] = interval(0, 0, budget)
+        xs[0] = lo - 1
+        j = 0
+        while j >= 0:
+            x = xs[j] + 1
+            if x > tops[j]:
+                j -= 1
+                continue
+            xs[j] = x
+            s = sums[j] + x
+            w = costs[j] + t * x * x + (2 * j - t + 1) * x
+            room = budget - w
+            if s > room or (s < 0 and -s * (2 * j + 3) > room):
+                continue
+            z[j] = j + t * x
+            if j + 1 == last:
+                yield s, w, lows[j]
+                continue
+            j += 1
+            sums[j] = s
+            costs[j] = w
+            if no_ones:
+                lows[j] = min(lows[j - 1], z[j - 1])
+            lo, tops[j] = interval(j, -s, room)
+            xs[j] = lo - 1
+
+    # spans_of(r_sum, low) gives the (y_lo, y_hi, m) of the y wanted for a
+    # prefix, before the budget cuts them: m is the weight of their cores.
+    # With no prefix (t = 2) every core is its own conjugate, and no_ones
+    # narrows nothing.
+    if last and paired:
+
+        def spans_of(r_sum: int, low: int):
+            # Conjugation negates x_0 + x_{t-1}, which is x_0 + r_sum - y
+            # here, so the y up to cap = x_0 + r_sum give one core of each
+            # pair.  At cap the partner also has sum 0 and is kept on its own.
+            cap = z[0] // t + r_sum
+            return (-big, cap - 1, 2), (cap, cap, 1)
+
+    elif last and no_ones:
+
+        def spans_of(r_sum: int, low: int):
+            # The y whose core has no part 1, that is min(z) + 1 in z, when
+            # the prefix z_0..z_{t-3} has minimum g (low is that of
+            # z_0..z_{t-4}).  a = z_{t-2} grows with y and
+            # b = z_{t-1} = t - 1 + t*(r_sum - y) falls; a > g from ya on and
+            # b > g up to yb.  While g is the minimum, g + 1 is on a runner
+            # c <= t - 2: in the prefix, or a itself, at y = ya alone.  When
+            # a is the minimum, a + 1 can only be b (2y = r_sum); when b is,
+            # b + 1 can only be z_0.
+            g = min(low, z[last - 1])
+            ya = (g + 2) // t
+            yb = r_sum - (g + 1) // t
+            up = (g + 1) % t
+            if up == last:
+                top = min(ya, yb)
+            elif z[up] == g + 1:
+                top = yb
+            else:
+                top = ya - 1
+            spans = [(ya, top, 1)]
+            if not r_sum & 1 and r_sum >> 1 < ya:
+                spans.append((r_sum >> 1, r_sum >> 1, 1))
+            y = r_sum + 1 - z[0] // t
+            if y > yb and 2 * y > r_sum:
+                spans.append((y, y, 1))
+            return spans
+
+    else:
+        every = ((-big, big, 1),)
+
+        def spans_of(r_sum: int, low: int):
+            return every
+
+    # the last two coordinates: x_{t-2} = y and x_{t-1} = r_sum - y cost
+    # 2t*y^2 - b*y + c0 together, a quadratic solved for y
+    for s, w, low in prefixes():
+        r_sum = -s
+        b = 2 * t * r_sum + 2
+        c0 = t * r_sum * r_sum + (t - 1) * r_sum
+        disc = b * b - 8 * t * (c0 + w - budget)
+        if disc < 0:
             continue
-        xs[j] = x
-        s = sums[j] + x
-        w = costs[j] + t * x * x + (2 * j - t + 1) * x
-        room = budget - w
-        if s > room or (s < 0 and -s * (2 * j + 3) > room):
+        root = isqrt(disc)
+        if exact:
+            if root * root != disc:
+                continue
+            ys = {(b - root) // t4, (b + root) // t4}
+            for y_lo, y_hi, m in spans_of(r_sum, low):
+                for y in ys:
+                    if y_lo <= y <= y_hi and (t4 * y - b) ** 2 == disc:
+                        z[z_last] = z_last + t * y
+                        z[z_end] = z_end + t * (r_sum - y)
+                        yield n_max, z, m
             continue
-        z[j] = j + t * x
-        if j + 1 == last:
-            yield from pair(s, w)
-            continue
-        j += 1
-        sums[j] = s
-        costs[j] = w
-        lo, tops[j] = interval(j, -s, room)
-        xs[j] = lo - 1
+        lo = -((root - b) // t4)
+        hi = (b + root) // t4
+        for y_lo, y_hi, m in spans_of(r_sum, low):
+            if y_lo < lo:
+                y_lo = lo
+            if y_hi > hi:
+                y_hi = hi
+            for y in range(y_lo, y_hi + 1):
+                z[z_last] = z_last + t * y
+                z[z_end] = z_end + t * (r_sum - y)
+                yield (w + 2 * t * y * y - b * y + c0) >> 1, z, m
 
 
 def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
@@ -149,19 +235,20 @@ def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
 
 
 def hook_table(
-    cores: Iterable[tuple[int, list[int]]],
+    cores: Iterable[tuple[int, list[int], int]],
     t: int,
     ks: Sequence[int] | None,
 ) -> tuple[dict[int, Counter], Counter]:
-    """Hook counts of the given cores by size: (tables, core_counts) with
-    tables[n] mapping hook length to its total over the cores of size n.
-    With ks None every hook length is counted, otherwise only the ks.
-    Only sizes with a core appear, and only positive counts are stored."""
+    """Hook counts of the given cores (n, z, m), each standing for m cores
+    with its hooks, by size: (tables, core_counts) with tables[n] mapping
+    hook length to its total over the cores of size n.  With ks None every
+    hook length is counted, otherwise only the ks.  Only sizes with a core
+    appear, and only positive counts are stored."""
     core_counts: Counter = Counter()
     if ks is None:
         tables: dict[int, Counter] = {}
-        for n, z in cores:
-            core_counts[n] += 1
+        for n, z, m in cores:
+            core_counts[n] += m
             tally = tables.get(n)
             if tally is None:
                 tally = tables[n] = Counter()
@@ -175,7 +262,7 @@ def hook_table(
                         break
                     k = (c - c2) % t
                     while k < span:
-                        tally[k] += (span - k) // t
+                        tally[k] += (span - k) // t * m
                         k += t
         return tables, core_counts
     # the distinct ks by k mod t, each with its slot in a row of sums;
@@ -186,8 +273,8 @@ def hook_table(
         groups.setdefault(k % t, []).append((k, slot))
     plan = list(groups.items())
     sums: dict[int, list[int]] = {}
-    for n, z in cores:
-        core_counts[n] += 1
+    for n, z, m in cores:
+        core_counts[n] += m
         row = sums.get(n)
         if row is None:
             row = sums[n] = [0] * len(wanted)
@@ -198,7 +285,7 @@ def hook_table(
                 for v in diffs:
                     if v > k:
                         total += v - k
-                row[slot] += total
+                row[slot] += total * m
     tables = {
         n: Counter({k: v // t for k, v in zip(wanted, row) if v})
         for n, row in sums.items()
@@ -207,15 +294,22 @@ def hook_table(
 
 
 def kept_vectors(
-    t: int, n_max: int, exact: bool, f: PartFilter
-) -> Iterator[tuple[int, list[int]]]:
+    t: int, n_max: int, exact: bool, f: PartFilter, paired: bool = False
+) -> Iterator[tuple[int, list[int], int]]:
     """charge_vectors(t, n_max, exact) without the cores whose parts fail
-    the filter; z is rewritten in place between yields."""
-    vectors = charge_vectors(t, n_max, exact)
+    the filter; z is rewritten in place between yields.
+
+    When the filter forbids nothing, paired asks for one core of each
+    conjugate pair with its weight (conjugation keeps the size and the
+    hooks, not the parts).  When it forbids 1, the vectors are narrowed to
+    the cores with no part 1 per prefix, and part_test still decides each
+    core that is left.
+    """
     keep = part_test(f, t, n_max)
     if keep is None:
-        return vectors
-    return ((n, z) for n, z in vectors if keep(z))
+        return charge_vectors(t, n_max, exact, paired=paired)
+    vectors = charge_vectors(t, n_max, exact, no_ones=not f.allows(1))
+    return (core for core in vectors if keep(core[1]))
 
 
 def part_test(f: PartFilter, t: int, n_max: int):

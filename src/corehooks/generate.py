@@ -214,7 +214,7 @@ def t_cores_of(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> Iterator[Partiti
     if t > n:
         yield from partitions_of(n, f)
         return
-    yield from _in_order(n, t, (z for _, z in _abacus.kept_vectors(t, n, True, f)))
+    yield from _in_order(n, t, (z for _, z, _ in _abacus.kept_vectors(t, n, True, f)))
 
 
 def t_cores_up_to(
@@ -234,7 +234,7 @@ def t_cores_up_to(
                 yield n, p
         return
     by_size: defaultdict[int, array] = defaultdict(partial(array, "i"))
-    for n, z in _abacus.kept_vectors(t, n_max, False, f):
+    for n, z, _ in _abacus.kept_vectors(t, n_max, False, f):
         by_size[n].extend(z)
     for n in sorted(by_size):
         zs = by_size.pop(n)
@@ -243,8 +243,9 @@ def t_cores_up_to(
 
 
 def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
-    """Number of t-core partitions of n passing the filter."""
+    """Number of t-core partitions of n passing the filter; with no
+    filter, one core of each conjugate pair is visited and weighted."""
     _check_core_args(n, t)
     if t > n:
         return sum(map(f.passes, iter_partition_parts(n)))
-    return sum(1 for _ in _abacus.kept_vectors(t, n, True, f))
+    return sum(m for _, _, m in _abacus.kept_vectors(t, n, True, f, paired=True))

@@ -5,8 +5,9 @@ partitions of n, optionally restricted to partitions avoiding a set of
 part values.  Totals come from the charge vectors of the cores on the
 t-abacus (see _abacus): a range table is one pass over every vector of
 size at most n_max, a point query one pass over the vectors of size n,
-and each core costs O(t) per hook length.  Every count is an exact
-integer.
+and each core costs O(t) per hook length.  With no filter only one core
+of each conjugate pair is visited, counted for both, since conjugation
+keeps the size and the hooks.  Every count is an exact integer.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def _hook_counts_at(n: int, t: int, ks: Sequence[int], f: PartFilter) -> Counter
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-    tables, _ = _abacus.hook_table(_abacus.kept_vectors(te, n, True, f), te, ks)
+    cores = _abacus.kept_vectors(te, n, True, f, paired=True)
+    tables, _ = _abacus.hook_table(cores, te, ks)
     return tables.get(n, Counter())
 
 
@@ -89,7 +91,7 @@ def hook_count_table(
         if any(k < 1 for k in ks):
             raise ValueError(f"hook lengths must be positive, got {ks}")
     tables, core_counts = _abacus.hook_table(
-        _abacus.kept_vectors(te, n_max, False, f), te, ks
+        _abacus.kept_vectors(te, n_max, False, f, paired=True), te, ks
     )
     return (
         [tables.get(n) or Counter() for n in range(n_max + 1)],

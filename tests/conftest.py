@@ -115,6 +115,18 @@ def _partition_from_vector(xs: tuple[int, ...], t: int) -> tuple[int, ...]:
     return tuple(p for p in parts if p > 0)
 
 
+def charge_vector_of(parts: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """The charge vector of a partition on the t-abacus, the inverse of
+    _partition_from_vector: with L beads at parts[i] + L - 1 - i (parts
+    padded with zeros, L the least multiple of t that is >= len(parts)),
+    x_c is the number of beads on runner c minus L / t."""
+    size = -(-len(parts) // t) * t
+    counts = [-(size // t)] * t
+    for i in range(size):
+        counts[((parts[i] if i < len(parts) else 0) + size - 1 - i) % t] += 1
+    return tuple(counts)
+
+
 def _bead_set_from_vector(xs: tuple[int, ...], t: int) -> frozenset[int]:
     base = max(0, -min(xs)) + 1
     beads = set()

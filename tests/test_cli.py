@@ -130,9 +130,9 @@ def test_count_makes_one_pass_per_n(capsys, monkeypatch):
     calls = []
     real = _abacus.charge_vectors
 
-    def counted(t, n_max, exact):
+    def counted(t, n_max, exact, **opts):
         calls.append((n_max, exact))
-        return real(t, n_max, exact)
+        return real(t, n_max, exact, **opts)
 
     monkeypatch.setattr(_abacus, "charge_vectors", counted)
     code, _, _ = run_cli(capsys, "count", "--t", "60", "--k", "2,7,30", "--n", "27..29")

@@ -19,6 +19,7 @@ from corehooks.partition import Partition, parts_text
 
 from conftest import (
     _partition_from_vector,
+    charge_vector_of,
     class_number,
     five_core_count,
     is_square_free,
@@ -27,6 +28,7 @@ from conftest import (
     naive_partitions,
     partition_parts,
     three_core_count,
+    walk_t_cores,
     walker_cores_of,
 )
 
@@ -185,7 +187,7 @@ def test_part_test_matches_passes(t):
         for excl in ((), (1,), (2,), (1, 2), (3,), (2, 5), (1, 4, 6))
     ]
     tests = [(f, _abacus.part_test(f, t, 60)) for f in filters]
-    for n, z in _abacus.charge_vectors(t, 60, False):
+    for n, z, _ in _abacus.charge_vectors(t, 60, False):
         parts = _partition_from_vector(tuple((zc - c) // t for c, zc in enumerate(z)), t)
         assert sum(parts) == n
         for f, keep in tests:
@@ -193,6 +195,53 @@ def test_part_test_matches_passes(t):
                 assert f == PartFilter()
             else:
                 assert keep(z) == f.passes(parts), (f, parts)
+
+
+# filters of the narrowing test below; {2} leaves part 1 allowed
+NARROWED = [
+    C1,
+    C12,
+    PartFilter(min_part=3),
+    PartFilter(min_part=4),
+    PartFilter(excluded=frozenset({1, 4, 6})),
+    PartFilter(excluded=frozenset({2})),
+]
+
+
+@pytest.mark.parametrize(
+    "t,n_max", [(2, 300), (3, 200), (4, 120), (5, 70), (6, 50), (7, 40), (8, 35), (9, 30)]
+)
+def test_kept_vectors_match_the_filter_on_parts(t, n_max):
+    # A filter that forbids 1 narrows each abacus prefix to the cores with
+    # no part 1 before part_test runs.  The kept (n, z) must be exactly the
+    # cores whose parts pass the filter, over a range and at two exact
+    # sizes, and the narrowing alone must keep exactly the cores with no
+    # part 1 (at t = 2 it is left to the filter).
+    every = [(n, tuple(z)) for n, z, _ in _abacus.charge_vectors(t, n_max, False)]
+    parts = {z: _abacus.core_parts(z, t) for _, z in every}
+    for exact, top in ((False, n_max), (True, n_max), (True, n_max - 1)):
+        sized = [(n, z) for n, z in every if n == top or not exact and n <= top]
+        for f in NARROWED:
+            got = Counter(
+                (n, tuple(z), m) for n, z, m in _abacus.kept_vectors(t, top, exact, f)
+            )
+            assert got == Counter((n, z, 1) for n, z in sized if f.passes(parts[z])), f
+        got = Counter(
+            (n, tuple(z)) for n, z, _ in _abacus.charge_vectors(t, top, exact, no_ones=True)
+        )
+        assert got == Counter((n, z) for n, z in sized if t == 2 or 1 not in parts[z])
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_conjugate_charge_vector_is_the_conjugate_core(t):
+    # The premise of the paired hook tables: x -> (-x_{t-1}, ..., -x_0)
+    # maps each core to its conjugate, whose hooks are the same multiset.
+    # The cores come from the walker, their vectors from their beads.
+    for n, parts in walk_t_cores(t, 40, False):
+        x = charge_vector_of(parts, t)
+        conj = _partition_from_vector(tuple(-v for v in reversed(x)), t)
+        assert conj == Partition(parts).conjugate().parts, (t, parts)
+        assert Counter(naive_hooks(conj)) == Counter(naive_hooks(parts)), (t, parts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,10 +262,10 @@ def test_core_parts_from_random_charge_vector(drawn):
     n = sum(parts)
     assert 2 * n == t * sum(x * x for x in xs) + 2 * sum(c * x for c, x in enumerate(xs))
     hooks = Counter(naive_hooks(parts))
-    tables, counts = _abacus.hook_table([(n, z)], t, range(1, 13))
+    tables, counts = _abacus.hook_table([(n, z, 1)], t, range(1, 13))
     assert counts == Counter({n: 1})
     assert {k: tables[n][k] for k in range(1, 13)} == {k: hooks[k] for k in range(1, 13)}
-    tables, _ = _abacus.hook_table([(n, z)], t, None)
+    tables, _ = _abacus.hook_table([(n, z, 1)], t, None)
     assert tables[n] == hooks
 
 

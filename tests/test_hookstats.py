@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from corehooks import _abacus
 from corehooks.generate import PartFilter, count_t_cores
 from corehooks.hookstats import (
     FAILS,
@@ -14,6 +15,7 @@ from corehooks.hookstats import (
 )
 
 from conftest import (
+    charge_vector_of,
     naive_hook_count,
     naive_hooks,
     naive_is_t_core,
@@ -219,3 +221,47 @@ def test_engine_matches_walker_with_diagram_hooks(t, n_max):
         for n in range(min(n_max, 40) + 1):
             for k in range(1, 9):
                 assert total_hook_count(n, t, k, f) == want[n][k], (f, n, k)
+
+
+def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch):
+    # Hooks are evaluated only for the cores with x_0 + x_4 >= 0; the
+    # weights restore the totals of every core.
+    seen = []
+    real = _abacus.hook_table
+
+    def counted(cores, t, ks):
+        return real((seen.append(core[0]) or core for core in cores), t, ks)
+
+    monkeypatch.setattr(_abacus, "hook_table", counted)
+    tables, core_counts = hook_count_table(5, 120, ks=(1, 3))
+    every = [(n, list(z)) for n, z, _ in _abacus.charge_vectors(5, 120, False)]
+    assert len(seen) == sum(1 for _, z in every if z[0] // 5 + z[4] // 5 >= 0)
+    want, want_counts = real(((n, z, 1) for n, z in every), 5, (1, 3))
+    assert core_counts == [want_counts[n] for n in range(121)]
+    assert tables == [want.get(n, Counter()) for n in range(121)]
+
+
+def _one_minus_last(x):
+    """The closed form of a_{t,1} - a_{t,t-1} on one core with charge
+    vector x: #{c != 0 : u_c < 0} - [u_0 >= 1], u_c = x_c - x_{c-1}."""
+    u = [x[c] - x[c - 1] for c in range(len(x))]
+    return sum(1 for v in u[1:] if v < 0) - (u[0] >= 1)
+
+
+@pytest.mark.parametrize("t,n_max", [(3, 600), (4, 300), (5, 120), (6, 60), (7, 40)])
+def test_one_hooks_minus_last_hooks_closed_form(t, n_max):
+    # per core, so a_{t,1}(n) >= a_{t,t-1}(n) for every n
+    for n, z, _ in _abacus.charge_vectors(t, n_max, False):
+        d = _one_minus_last([(zc - c) // t for c, zc in enumerate(z)])
+        tables, _ = _abacus.hook_table([(n, z, 1)], t, (1, t - 1))
+        assert tables[n][1] - tables[n][t - 1] == d, (t, z)
+        assert 0 <= d <= t - 2
+
+
+def test_one_hooks_minus_last_hooks_on_walker_cores():
+    for t in range(2, 10):
+        for n, parts in walk_t_cores(t, 20, False):
+            hooks = Counter(naive_hooks(parts))
+            d = _one_minus_last(charge_vector_of(parts, t))
+            assert hooks[1] - hooks[t - 1] == d, (t, parts)
+            assert 0 <= d <= t - 2

@@ -245,9 +245,9 @@ def test_thm16_sweeps_its_table_once(monkeypatch):
     calls = []
     real = _abacus.charge_vectors
 
-    def counted(t, n_max, exact):
+    def counted(t, n_max, exact, **opts):
         calls.append((t, n_max, exact))
-        return real(t, n_max, exact)
+        return real(t, n_max, exact, **opts)
 
     monkeypatch.setattr(_abacus, "charge_vectors", counted)
     assert run_check("thm16", 300).holds
@@ -258,9 +258,9 @@ def test_thm19_sweeps_each_t_once(monkeypatch):
     calls = []
     real = _abacus.charge_vectors
 
-    def counted(t, n_max, exact):
+    def counted(t, n_max, exact, **opts):
         calls.append((t, n_max, exact))
-        return real(t, n_max, exact)
+        return real(t, n_max, exact, **opts)
 
     monkeypatch.setattr(_abacus, "charge_vectors", counted)
     assert run_check("thm19", 300).holds
