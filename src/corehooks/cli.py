@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from itertools import islice
-from operator import attrgetter
 from typing import Iterable
 
 from .generate import (
@@ -30,7 +29,7 @@ from .generate import (
 )
 from .hookstats import FAILS, _hook_counts_at, bias_table, total_hook_count
 from .qseries import core_count_series
-from .quadform import odd_representation
+from .quadform import OddRepresentation, odd_representation
 from .verify import CHECKS, run_check, bias_records_json
 
 PROG = "corehooks"
@@ -262,7 +261,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_series(args) -> int:
     series = core_count_series(args.t, args.order)
-    _write_table(args, ("n", "coefficient"), enumerate(series.coeffs))
+    _write_table(args, ("n", "coefficient"), enumerate(series))
     return 0
 
 
@@ -361,15 +360,11 @@ def _cmd_conj_scan(args) -> int:
     )
 
 
-_ODD_FIELDS = ("h", "x", "y", "z", "m", "r", "s")
-
-
 def _cmd_quadform(args) -> int:
     if args.h_max < 2:
         raise UsageError(f"h-max must be at least 2, got {args.h_max}")
-    row = attrgetter(*_ODD_FIELDS)
-    reps = [row(odd_representation(h)) for h in range(2, args.h_max + 1)]
-    _write_table(args, _ODD_FIELDS, reps)
+    reps = [odd_representation(h) for h in range(2, args.h_max + 1)]
+    _write_table(args, OddRepresentation._fields, reps)
     return 0
 
 

@@ -15,31 +15,42 @@ is used.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import partial
 from itertools import filterfalse
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from . import _abacus
 from .partition import Partition
 
 
-@dataclass(frozen=True)
-class PartFilter:
+def _integer(value, what: str) -> int:
+    """value as an int; a ValueError saying what must be an integer for a
+    float, a string or anything else that is not one."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what}, got {value!r}") from None
+
+
+class PartFilter(namedtuple("PartFilter", "excluded min_part")):
     """Restriction on part values: drop partitions using excluded values
-    or values below min_part."""
+    or values below min_part.  excluded is kept as a frozenset of ints."""
 
-    excluded: frozenset[int] = frozenset()
-    min_part: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.min_part < 1:
-            raise ValueError(f"min_part must be positive, got {self.min_part}")
-        excl = frozenset(int(v) for v in self.excluded)
+    def __new__(cls, excluded: Iterable[int] = frozenset(), min_part: int = 1):
+        min_part = _integer(min_part, "min_part must be an integer")
+        if min_part < 1:
+            raise ValueError(f"min_part must be positive, got {min_part}")
+        excl = frozenset(_integer(v, "excluded values must be integers") for v in excluded)
         if any(v < 1 for v in excl):
             raise ValueError(f"excluded values must be positive, got {sorted(excl)}")
-        object.__setattr__(self, "excluded", excl)
+        return super().__new__(cls, excl, min_part)
+
+    # _replace builds through _make, so a replaced filter is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def allows(self, value: int) -> bool:
         return value >= self.min_part and value not in self.excluded

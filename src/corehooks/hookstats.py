@@ -12,8 +12,7 @@ keeps the size and the hooks.  Every count is an exact integer.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from operator import eq, ge, le
 from typing import Sequence
 
@@ -27,16 +26,13 @@ NOT_APPLICABLE = "NOT-APPLICABLE"
 _RELATIONS = {">=": ge, "<=": le, "=": eq}
 
 
-@dataclass
-class BiasRecord:
+class BiasRecord(namedtuple("BiasRecord", "n values verdict", defaults=(HOLDS,))):
     """Hook-count values for one n plus an inequality verdict.
 
     values maps (t, k) pairs to counts in request order.
     """
 
-    n: int
-    values: dict[tuple[int, int], int] = field(default_factory=dict)
-    verdict: str = HOLDS
+    __slots__ = ()
 
 
 def _engine_t(t: int, n_max: int) -> int:

@@ -96,18 +96,19 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        """Parse the bracketed text form, e.g. "[6,3,2,1]" or "[]"."""
+        """Parse the bracketed text form, e.g. "[6,3,2,1]" or "[]": ASCII
+        decimal parts, with optional spaces around each."""
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"not a partition text form: {text!r}")
         body = s[1:-1].strip()
         if not body:
             return cls(())
-        try:
-            parts = tuple(int(tok.strip()) for tok in body.split(","))
-        except ValueError:
-            raise ValueError(f"not a partition text form: {text!r}") from None
-        return cls(parts)
+        tokens = [tok.strip() for tok in body.split(",")]
+        # int() alone would also take "1_0" and non-ASCII digits
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError(f"not a partition text form: {text!r}")
+        return cls(map(int, tokens))
 
     @property
     def parts(self) -> tuple[int, ...]:

@@ -14,22 +14,33 @@ value is exact at any size.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import add, sub
+from typing import Iterable
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c[0..order] of a power series truncated at q^order."""
+class TruncatedSeries(tuple):
+    """Coefficients c[0..order] of a power series truncated at q^order.
 
-    coeffs: tuple[int, ...]
+    The series is the tuple of its coefficients: series[n] is c[n],
+    iterating it yields c[0], c[1], ..., and it compares equal to the
+    plain tuple coeffs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable[int]):
+        return super().__new__(cls, coeffs)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(coeffs={tuple(self)!r})"
 
 
 def core_count_series(t: int, order: int) -> TruncatedSeries:

@@ -15,7 +15,7 @@ itself against the triple triangular series and the 4-core counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice, repeat
 from math import gcd, isqrt
 from operator import sub
@@ -24,20 +24,14 @@ from .generate import count_t_cores
 from .qseries import triple_triangular_series
 
 
-@dataclass(frozen=True)
-class OddRepresentation:
+class OddRepresentation(namedtuple("OddRepresentation", "h x y z m r s")):
     """An all-odd representation (2h+1)^2 + 4 = x^2 + 2y^2 + 2z^2 together
     with the triangular-number decomposition it encodes."""
 
-    h: int
-    x: int
-    y: int
-    z: int
-    m: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, h: int, x: int, y: int, z: int, m: int, r: int, s: int):
+        self = super().__new__(cls, h, x, y, z, m, r, s)
         if self.h < 2:
             raise ValueError(f"h must be at least 2, got {self.h}")
         target = (2 * self.h + 1) ** 2 + 4
@@ -61,6 +55,10 @@ class OddRepresentation:
         )
         if lhs != rhs:
             raise ValueError(f"triangular identity fails: {lhs} != {rhs}")
+        return self
+
+    # _replace builds through _make, so a replaced record is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def is_dickson_excluded(n: int) -> bool:

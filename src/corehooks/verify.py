@@ -15,7 +15,7 @@ to reproduce them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 from itertools import accumulate, islice, repeat
 from math import isqrt
@@ -31,29 +31,26 @@ from .hookstats import FAILS, BiasRecord, bias_table, chain_tables, hook_count_t
 from .partition import Cell, Partition, hook_lengths_of
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport", "subject checks overall")):
     """Pass/fail outcome of a list of named structural checks on one
-    partition; overall is the conjunction."""
+    partition: subject is the Partition, checks its (name, passed) pairs
+    and overall their conjunction."""
 
-    subject: Partition
-    checks: list[tuple[str, bool]]
-    overall: bool
+    __slots__ = ()
 
 
-@dataclass
-class RegionWitness:
-    """A hook of length k*t together with a t-hook found in its region.
+class RegionWitness(
+    namedtuple("RegionWitness", "partition hook_cell hook_len t witness_cell")
+):
+    """A hook of length k*t together with a t-hook found in its region:
+    the Partition, the Cell of the hook, its length, t, and the Cell of
+    the t-hook.
 
     witness_cell is None in a violation record (no t-hook found); when
     present it lies in the region of hook_cell and has hook length t.
     """
 
-    partition: Partition
-    hook_cell: Cell
-    hook_len: int
-    t: int
-    witness_cell: Cell | None
+    __slots__ = ()
 
 
 def _multiplicity_rows(p: Partition):
@@ -312,20 +309,22 @@ def necessity_scan(n_max: int) -> list[tuple[int, Partition, str]]:
     return bad
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one named verification check over a range."""
+class CheckResult(
+    namedtuple(
+        "CheckResult",
+        "check n_max holds summary failures dump_targets failing_n info",
+        defaults=((), (), None),
+    )
+):
+    """Outcome of one named verification check over a range.
 
-    check: str
-    n_max: int
-    holds: bool
-    summary: str
-    failures: list
-    # (t, filter) pairs whose t-core sets at the failing n are worth
-    # dumping for post-mortem inspection
-    dump_targets: list[tuple[int, PartFilter]] = field(default_factory=list)
-    failing_n: list[int] = field(default_factory=list)
-    info: list | None = None  # non-failure report payload (e.g. sampled witnesses)
+    failures is a list of json-ready failure entries.  dump_targets holds
+    the (t, PartFilter) pairs whose t-core sets at the failing_n are worth
+    dumping for post-mortem inspection; info is a list of report entries
+    that are not failures (e.g. sampled witnesses), or None.
+    """
+
+    __slots__ = ()
 
 
 def bias_records_json(records) -> list[dict]:

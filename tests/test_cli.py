@@ -627,3 +627,21 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def test_cold_start_imports_no_introspection_modules():
+    # every CLI run pays for what importing corehooks.cli loads; -S leaves
+    # out the site hooks, so only what corehooks itself imports is seen
+    import corehooks
+
+    root = Path(corehooks.__file__).resolve().parent.parent
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, corehooks.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -76,6 +76,18 @@ def test_filter_validation():
         PartFilter(min_part=0)
     with pytest.raises(ValueError):
         PartFilter(excluded=frozenset({0}))
+    with pytest.raises(ValueError, match="min_part must be an integer"):
+        PartFilter(min_part=1.5)
+    with pytest.raises(ValueError, match="excluded values must be integers"):
+        PartFilter(excluded=frozenset({1.5}))
+    # the excluded values are kept as a frozenset, so a filter is a value
+    assert PartFilter(excluded={1}) == PartFilter(excluded=frozenset({1}))
+    assert {PartFilter(excluded=frozenset({1})): "no1"}[PartFilter(excluded={1})] == "no1"
+    with pytest.raises(AttributeError):
+        PartFilter().min_part = 2
+    with pytest.raises(ValueError, match="min_part must be positive"):
+        PartFilter()._replace(min_part=0)
+    assert PartFilter()._replace(excluded={2}) == PartFilter(excluded=frozenset({2}))
 
 
 def test_t_core_fixtures():

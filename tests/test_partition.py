@@ -18,7 +18,8 @@ def test_construction_and_text_form():
     assert Partition.from_text(" [ 6 , 3 , 2 , 1 ] ") == p
 
 
-@pytest.mark.parametrize("bad", ["6,3", "[6,3", "[a]", "[3.5]", ""])
+# int() alone would take "1_0" as 10 and the full-width "３" as 3
+@pytest.mark.parametrize("bad", ["6,3", "[6,3", "[a]", "[3.5]", "", "[1_0]", "[３]"])
 def test_from_text_rejects_garbage(bad):
     with pytest.raises(ValueError):
         Partition.from_text(bad)

@@ -23,6 +23,7 @@ def test_mul_order_mismatch():
 def test_series_is_immutable():
     s = core_count_series(3, 3)
     assert s.order == 3 and s.coeffs == (1, 1, 2, 0)
+    assert list(s) == [1, 1, 2, 0]
     with pytest.raises(AttributeError):
         s.order = 5
     with pytest.raises(AttributeError):

@@ -100,6 +100,10 @@ def test_odd_representation_validation():
         OddRepresentation(h=2, x=3, y=1, z=5, m=1, r=0, s=2)  # wrong sum
     with pytest.raises(ValueError):
         OddRepresentation(h=2, x=3, y=1, z=3, m=0, r=0, s=1)  # m mismatch
+    with pytest.raises(AttributeError):
+        odd_representation(2).x = 5
+    with pytest.raises(ValueError, match="not a representation"):
+        odd_representation(2)._replace(x=5)
 
 
 def test_odd_forcing_on_all_representations():
