@@ -42,8 +42,8 @@ core counting twice when the sum is positive.  And a core has no part 1
 exactly when min(z) + 1 is in z; with the minimum of the prefix carried
 down the search, the y that satisfy this are one span and at most two
 single values, found in O(1).  Hook tables and core counts with no
-filter use the pairing, and a filter that forbids 1 uses the narrowing;
-ordered streams of cores use no pairing, so they see every core.
+filter use the pairing, and a filter that forbids 1 the narrowing, the
+one place part 1 is decided; ordered streams see every core.
 
 Everything here is iterative, and the callers pass t no larger than
 n + 1, so the work is bounded by n and never by t.
@@ -70,8 +70,8 @@ def charge_vectors(
     By default every core comes once, with m = 1.  paired yields one core
     of each conjugate pair: a core with x_0 + x_{t-1} > 0 stands for itself
     and its conjugate (m = 2), one with x_0 + x_{t-1} = 0 for itself alone,
-    and one with x_0 + x_{t-1} < 0 is left out.  no_ones yields only the
-    cores with no part 1 when t >= 3; at t = 2 it drops nothing.
+    and one with x_0 + x_{t-1} < 0 is left out.  no_ones yields each core
+    with no part 1 once (at t = 2 the empty core alone), paired or not.
     """
     budget = 2 * n_max
     z = list(range(t))
@@ -137,9 +137,9 @@ def charge_vectors(
 
     # spans_of(r_sum, low) gives the (y_lo, y_hi, m) of the y wanted for a
     # prefix, before the budget cuts them: m is the weight of their cores.
-    # With no prefix (t = 2) every core is its own conjugate, and no_ones
-    # narrows nothing.
-    if last and paired:
+    # With no prefix (t = 2) every core is its own conjugate, and the empty
+    # core, y = 0, is the only one with no part 1.
+    if last and paired and not no_ones:
 
         def spans_of(r_sum: int, low: int):
             # Conjugation negates x_0 + x_{t-1}, which is x_0 + r_sum - y
@@ -178,7 +178,7 @@ def charge_vectors(
             return spans
 
     else:
-        every = ((-big, big, 1),)
+        every = ((0, 0, 1),) if no_ones else ((-big, big, 1),)
 
         def spans_of(r_sum: int, low: int):
             return every
@@ -299,54 +299,49 @@ def kept_vectors(
     """charge_vectors(t, n_max, exact) without the cores whose parts fail
     the filter; z is rewritten in place between yields.
 
-    When the filter forbids nothing, paired asks for one core of each
-    conjugate pair with its weight (conjugation keeps the size and the
-    hooks, not the parts).  When it forbids 1, the vectors are narrowed to
-    the cores with no part 1 per prefix, and part_test still decides each
-    core that is left.
+    Part 1 is decided by the narrowing alone: when the filter forbids 1,
+    the vectors are narrowed per prefix to the cores with no part 1, and
+    part_test decides the larger forbidden values on each core that is
+    left, if there are any.  When the filter forbids nothing, paired asks
+    for one core of each conjugate pair with its weight (conjugation keeps
+    the size and the hooks, not the parts).
     """
     keep = part_test(f, t, n_max)
+    vectors = charge_vectors(
+        t, n_max, exact, paired=paired and keep is None, no_ones=not f.allows(1)
+    )
     if keep is None:
-        return charge_vectors(t, n_max, exact, paired=paired)
-    vectors = charge_vectors(t, n_max, exact, no_ones=not f.allows(1))
+        return vectors
     return (core for core in vectors if keep(core[1]))
 
 
 def part_test(f: PartFilter, t: int, n_max: int):
-    """A test on z that passes the cores whose parts pass the filter, or
-    None when the filter forbids no value up to n_max.
+    """A test on z that passes the cores with no part the filter forbids
+    from 2 up, or None when the filter forbids no value from 2 to n_max.
+    Part 1 is not tested here: the narrowing of charge_vectors (no_ones)
+    decides it.
 
     With g_1 < g_2 < ... the empty positions of the abacus, the beads
     between g_v and g_{v+1} are the parts equal to v, so v is a part
     exactly when g_{v+1} - g_v >= 2.  With top the largest forbidden
     value, only the lowest top + 1 gaps matter, and they lie among the gaps
     of the top + 1 runners whose first gap is lowest.
-
-    Part 1 is tested first and alone: g_1 = min(z), and g_1 + 1 is a gap
-    only as the first empty position of its runner (t >= 2), so 1 is a
-    part exactly when min(z) + 1 is not in z.
     """
-    low = range(1, min(f.min_part, n_max + 1))
-    forbidden = sorted({v for v in f.excluded if v <= n_max}.union(low))
+    low = range(2, min(f.min_part, n_max + 1))
+    forbidden = sorted({v for v in f.excluded if 1 < v <= n_max}.union(low))
     if not forbidden:
         return None
-    no_ones = forbidden[0] == 1
-    rest = forbidden[no_ones:]
     need = forbidden[-1] + 1
     reach = t * (need - 1)
 
     def keep(z: list[int]) -> bool:
-        if no_ones and min(z) + 1 not in z:
-            return False
-        if not rest:
-            return True
         firsts = sorted(z)[:need]
         bound = firsts[0] + reach + 1  # the lowest runner alone has need gaps below
         gaps: list[int] = []
         for v in firsts:
             gaps += range(v, bound, t)
         gaps.sort()
-        for v in rest:
+        for v in forbidden:
             if gaps[v] - gaps[v - 1] > 1:
                 return False
         return True

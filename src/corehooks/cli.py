@@ -8,8 +8,8 @@ text.  Output is machine readable (csv, json, or json lines), every
 integer printed as an exact decimal; every table goes through one
 writer, _write_table, and every verify or conj-scan verdict through
 another, _write_report.  Exit codes: 0 success / all checks hold, 1 a
-counterexample or identity mismatch was found, 2 usage or I/O error, 141
-the reader of stdout closed the pipe early.
+counterexample or identity mismatch was found, 2 usage or I/O error or
+out of memory, 141 the reader of stdout closed the pipe early.
 """
 
 from __future__ import annotations
@@ -390,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return 141  # 128 + SIGPIPE
     except (UsageError, ValueError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"{PROG}: error: out of memory", file=sys.stderr)
         return 2
 
 

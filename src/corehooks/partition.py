@@ -158,10 +158,6 @@ class Partition:
         leg = sum(1 for i in range(row, len(self._parts)) if self._parts[i] >= col)
         return arm + leg + 1
 
-    def hook_lengths(self) -> list[int]:
-        """All hook lengths, row by row, left to right."""
-        return hook_lengths_of(self._parts)
-
     def hook_profile(self) -> Counter:
         """Multiset of hook lengths as a Counter {length: count}.
 

@@ -256,42 +256,25 @@ def check_2core_ladder(ell_max: int) -> tuple[bool, str | None]:
 _NO_PARTS_1_2 = PartFilter(excluded=frozenset({1, 2}))
 
 
-def _restricted_formula_failure(records: list[BiasRecord], ell: int) -> str | None:
-    """Where the records of bias_table(4, [1, 3], 0, ..., no parts 1, 2),
-    one per n from 0, first break the closed form through L = ell: both
-    totals equal L at n = 3*L*(L+1)/2 and vanish at every other n.  None
-    when they keep it."""
-    expected = {3 * L * (L + 1) // 2: L for L in range(1, ell + 1)}
-    for r in records[: 3 * ell * (ell + 1) // 2 + 1]:
-        want = expected.get(r.n, 0)
-        got1, got3 = r.values[4, 1], r.values[4, 3]
-        if got1 != want or got3 != want:
-            return (
-                f"restricted 4-core hook counts at n={r.n}: 1-hooks={got1}, "
-                f"3-hooks={got3}, expected both {want}"
-            )
-    return None
-
-
 def check_restricted_4core_formula(ell_max: int) -> tuple[bool, str | None]:
     """Verify by enumeration that over 4-cores with no part equal to 1 or
     2, the 1-hook and 3-hook totals both equal L at n = 3*L*(L+1)/2 and
-    vanish at every other n <= 3*ell_max*(ell_max+1)/2."""
+    vanish at every other n <= 3*ell_max*(ell_max+1)/2: the closed form
+    of _check_thm16, its last failure when it fails."""
     if ell_max < 1:
         raise ValueError(f"ell_max must be positive, got {ell_max}")
-    n_max = 3 * ell_max * (ell_max + 1) // 2
-    records = bias_table(4, [1, 3], 0, n_max, _NO_PARTS_1_2, ["="])
-    msg = _restricted_formula_failure(records, ell_max)
-    return msg is None, msg
+    failures, _, _ = _check_thm16(3 * ell_max * (ell_max + 1) // 2)
+    return (False, failures[-1]) if failures else (True, None)
 
 
 def scan_conjecture_5core(n_max: int) -> list[BiasRecord]:
-    """Counterexample scan for the conjectured 5-core chain: total 1-hooks
-    >= total 3-hooks >= total 6-hooks for every n.  Returns FAILS rows
-    only; this reports, it does not assert."""
+    """Counterexample scan for the conjectured 5-core chain, the conj15
+    row of _CHAINS: total 1-hooks >= total 3-hooks >= total 6-hooks for
+    every n.  Returns FAILS rows only; this reports, it does not assert."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    records = bias_table(5, [1, 3, 6], 0, n_max, relations=[">=", ">="])
+    _, chains, relations, f = _CHAINS["conj15"]
+    (records,) = chain_tables(chains, 0, n_max, relations, f)
     return [r for r in records if r.verdict == FAILS]
 
 
@@ -403,15 +386,23 @@ def _check_thm16(n_max: int):
     through the largest L with 3*L*(L+1)/2 <= n_max (L = 1 below n = 3),
     both read from one restricted 4-core table."""
     ell = _ladder_index(n_max // 3)
-    n_top = max(n_max, 3 * ell * (ell + 1) // 2)
-    records = bias_table(4, [1, 3], 0, n_top, _NO_PARTS_1_2, ["="])
+    n_form = 3 * ell * (ell + 1) // 2
+    records = bias_table(4, [1, 3], 0, max(n_max, n_form), _NO_PARTS_1_2, ["="])
     failures, tail, failing_n = _table_verdict([records[: n_max + 1]], n_max)
-    msg = _restricted_formula_failure(records, ell)
-    if msg is None:
-        tail += f"; closed form exact through L = {ell}"
+    expected = {3 * L * (L + 1) // 2: L for L in range(1, ell + 1)}
+    for r in records[: n_form + 1]:
+        want = expected.get(r.n, 0)
+        got1, got3 = r.values[4, 1], r.values[4, 3]
+        if got1 != want or got3 != want:
+            msg = (
+                f"restricted 4-core hook counts at n={r.n}: 1-hooks={got1}, "
+                f"3-hooks={got3}, expected both {want}"
+            )
+            failures.append(msg)
+            tail += f"; closed form fails: {msg}"
+            break
     else:
-        failures.append(msg)
-        tail += f"; closed form fails: {msg}"
+        tail += f"; closed form exact through L = {ell}"
     return failures, tail, {"dump_targets": [(4, _NO_PARTS_1_2)], "failing_n": failing_n}
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from corehooks import _abacus
+from corehooks import _abacus, cli, verify
 from corehooks.cli import main
 from corehooks.generate import partitions_of
 from corehooks.partition import hook_lengths_of
@@ -97,6 +97,9 @@ ERROR_CONTRACT = [
     ("conj-scan --n-max 5 --ks 1,2,3 --relations >=", "need 2 relations for 3 hook lengths"),
     ("conj-scan --n-max 5 --ks 1,3 --relations >>", "unknown relation '>>'; use >=, <= or ="),
     ("conj-scan --n-max 5 --t 1 --ks 1,3 --relations >>", "t must be at least 2, got 1"),
+    ("conj-scan --n-max 5 --exclude 0", "excluded part values must be positive"),
+    ("conj-scan --n-max 5 --min-part 0", "min-part must be positive, got 0"),
+    ("enum --n 5 --exclude 0", "excluded part values must be positive"),
 ]
 
 
@@ -104,6 +107,27 @@ ERROR_CONTRACT = [
 def test_usage_error_contract(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"corehooks: error: {message}\n")
+
+
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
+    # the allocation failure is staged: nothing large is allocated
+    def exhausted(t, order):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "core_count_series", exhausted)
+    code, out, err = run_cli(capsys, "series", "--t", "4", "--order", "10")
+    assert (code, out, err) == (2, "", "corehooks: error: out of memory\n")
+
+
+def test_conj_scan_defaults_are_the_conj15_row():
+    # conj-scan restates the conjectured chain as its defaults; they must
+    # stay the conj15 row that verify checks
+    args = cli._build_parser().parse_args(["conj-scan", "--n-max", "5"])
+    _, chains, relations, f = verify._CHAINS["conj15"]
+    ks = cli._parse_hook_lengths(args.ks, "ks")
+    assert [[(args.t, k) for k in ks]] == chains
+    assert args.relations.split(",") == relations
+    assert cli._parse_filter(args.exclude, args.min_part) == f
 
 
 def _walker_hooks(n, t):

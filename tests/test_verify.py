@@ -6,7 +6,7 @@ from corehooks import _abacus
 from corehooks.cli import main
 from corehooks.generate import PartFilter, t_cores_up_to
 from corehooks.hookstats import FAILS, HOLDS, NOT_APPLICABLE, bias_table, hook_count_table
-from corehooks.partition import Cell, Partition
+from corehooks.partition import Cell, Partition, hook_lengths_of
 from corehooks.verify import (
     CHECKS,
     check_2core_ladder,
@@ -312,6 +312,8 @@ def test_thm16_reports_a_wrong_restricted_count(monkeypatch):
     assert res.failures == [
         {"n": 9, "verdict": FAILS, "values": {"4.1": 3, "4.3": 2}, "witness": None}, msg
     ]
+    # the public check reads the same table and reports the same message
+    assert check_restricted_4core_formula(2) == (False, msg)
 
 
 def test_restricted_formula_small():
@@ -348,7 +350,7 @@ def test_per_partition_5core_min_part_3():
     # every 5-core without parts 1, 2 has at most as many 1-hooks as 3-hooks
     f = PartFilter(excluded=frozenset({1, 2}))
     for n, p in t_cores_up_to(40, 5, f):
-        flat = p.hook_lengths()
+        flat = hook_lengths_of(p.parts)
         assert flat.count(1) <= flat.count(3), p
 
 
