@@ -31,19 +31,25 @@ because w_c(y) = ((2ty + g_c)^2 - g_c^2) / (4t) with g_c = 2c - t + 1 and
 the sum of the 2ty + g_c is fixed.  Integer values add a second bound:
 a positive unit on coordinate c >= i costs at least 2i + 1 and a negative
 unit at least 1.  The last two coordinates are solved, not searched: their
-sum is fixed, so their cost is a quadratic in x_{t-2}.
+sum is fixed, so their cost is a quadratic in y = x_{t-2}.  Conjugation
+maps x to (-x_{t-1}, ..., -x_0), another core of the same size with the
+same hooks, so a total over all cores needs one core of each conjugate
+pair, weighted: the y with x_0 + x_{t-1} >= 0, the core counting twice
+when the sum is positive.  Hook tables and core counts with no filter use
+the pairing; ordered streams see every core.
 
-Two prunings act in that last step, where the prefix x_0..x_{t-3} is
-fixed, y = x_{t-2} runs over an interval and x_{t-1} is the rest of the
-sum.  Conjugation maps x to (-x_{t-1}, ..., -x_0), another core of the
-same size with the same hooks, so a total over all cores needs one core
-of each conjugate pair, weighted: the y with x_0 + x_{t-1} >= 0, the
-core counting twice when the sum is positive.  And a core has no part 1
-exactly when min(z) + 1 is in z; with the minimum of the prefix carried
-down the search, the y that satisfy this are one span and at most two
-single values, found in O(1).  Hook tables and core counts with no
-filter use the pairing, and a filter that forbids 1 the narrowing, the
-one place part 1 is decided; ordered streams see every core.
+A core with no part below m >= 2 is built, not filtered.  With one bead
+per part (L beads, position 0 empty) bead b gives the part
+b - #{beads below b}, so the lowest bead is the smallest part, and the
+runners are flush: the t-cores with every part >= m are the bead counts
+x' in N^(t-m) of runners m..t-1 (the empty core when m >= t), of size
+n = sum(c*x'_c + t*C(x'_c, 2)) - C(L, 2) with L = sum(x'_c), so that
+2n = sum(w_c(x'_c)) - L^2, and z_c = z'_{(c+L) mod t} - L with
+z'_c = c + t*x'_c.  Runners t-1 down to m are fixed in turn, each x'_c
+within the bound 2n >= w - (G2 + (2ts - G1)^2 / (t - k)) / (4t) over the
+reals: s and w are the sum and cost fixed so far, x'_c included, and G1,
+G2 the sums of g_c, g_c^2 over the k runners left.  So the 4-cores with
+no parts 1, 2 are N^1: (3L, ..., 6, 3) at n = 3L(L+1)/2, thm16's form.
 
 Everything here is iterative, and the callers pass t no larger than
 n + 1, so the work is bounded by n and never by t.
@@ -61,7 +67,7 @@ if TYPE_CHECKING:
 
 
 def charge_vectors(
-    t: int, n_max: int, exact: bool, paired: bool = False, no_ones: bool = False
+    t: int, n_max: int, exact: bool, paired: bool = False
 ) -> Iterator[tuple[int, list[int], int]]:
     """Yield (n, z, m) for the t-cores of size n <= n_max, or n == n_max
     when exact, in no particular order.  z is one list, rewritten in place
@@ -70,8 +76,7 @@ def charge_vectors(
     By default every core comes once, with m = 1.  paired yields one core
     of each conjugate pair: a core with x_0 + x_{t-1} > 0 stands for itself
     and its conjugate (m = 2), one with x_0 + x_{t-1} = 0 for itself alone,
-    and one with x_0 + x_{t-1} < 0 is left out.  no_ones yields each core
-    with no part 1 once (at t = 2 the empty core alone), paired or not.
+    and one with x_0 + x_{t-1} < 0 is left out.
     """
     budget = 2 * n_max
     z = list(range(t))
@@ -96,17 +101,14 @@ def charge_vectors(
         root = isqrt(e // t)
         return -((b1 + root) // a2), (root - b1) // a2
 
-    def prefixes() -> Iterator[tuple[int, int, int]]:
-        # (sum, cost, low) for each prefix x_0..x_{t-3} whose completion can
-        # stay within the budget, with z_0..z_{t-3} set; low is the minimum
-        # of z_0..z_{t-4}
+    def prefixes() -> Iterator[tuple[int, int]]:
+        # (sum, cost) for each prefix x_0..x_{t-3} whose completion can stay
+        # within the budget, with z_0..z_{t-3} set
         if last == 0:
-            yield 0, 0, 0
+            yield 0, 0
             return
         sums = [0] * last
         costs = [0] * last
-        # lows[j] = min(z_0..z_{j-1}), carried like costs when narrowing
-        lows = [t * big] * last
         xs = [0] * last
         tops = [0] * last
         lo, tops[0] = interval(0, 0, budget)
@@ -125,67 +127,23 @@ def charge_vectors(
                 continue
             z[j] = j + t * x
             if j + 1 == last:
-                yield s, w, lows[j]
+                yield s, w
                 continue
             j += 1
             sums[j] = s
             costs[j] = w
-            if no_ones:
-                lows[j] = min(lows[j - 1], z[j - 1])
             lo, tops[j] = interval(j, -s, room)
             xs[j] = lo - 1
 
-    # spans_of(r_sum, low) gives the (y_lo, y_hi, m) of the y wanted for a
-    # prefix, before the budget cuts them: m is the weight of their cores.
-    # With no prefix (t = 2) every core is its own conjugate, and the empty
-    # core, y = 0, is the only one with no part 1.
-    if last and paired and not no_ones:
-
-        def spans_of(r_sum: int, low: int):
-            # Conjugation negates x_0 + x_{t-1}, which is x_0 + r_sum - y
-            # here, so the y up to cap = x_0 + r_sum give one core of each
-            # pair.  At cap the partner also has sum 0 and is kept on its own.
-            cap = z[0] // t + r_sum
-            return (-big, cap - 1, 2), (cap, cap, 1)
-
-    elif last and no_ones:
-
-        def spans_of(r_sum: int, low: int):
-            # The y whose core has no part 1, that is min(z) + 1 in z, when
-            # the prefix z_0..z_{t-3} has minimum g (low is that of
-            # z_0..z_{t-4}).  a = z_{t-2} grows with y and
-            # b = z_{t-1} = t - 1 + t*(r_sum - y) falls; a > g from ya on and
-            # b > g up to yb.  While g is the minimum, g + 1 is on a runner
-            # c <= t - 2: in the prefix, or a itself, at y = ya alone.  When
-            # a is the minimum, a + 1 can only be b (2y = r_sum); when b is,
-            # b + 1 can only be z_0.
-            g = min(low, z[last - 1])
-            ya = (g + 2) // t
-            yb = r_sum - (g + 1) // t
-            up = (g + 1) % t
-            if up == last:
-                top = min(ya, yb)
-            elif z[up] == g + 1:
-                top = yb
-            else:
-                top = ya - 1
-            spans = [(ya, top, 1)]
-            if not r_sum & 1 and r_sum >> 1 < ya:
-                spans.append((r_sum >> 1, r_sum >> 1, 1))
-            y = r_sum + 1 - z[0] // t
-            if y > yb and 2 * y > r_sum:
-                spans.append((y, y, 1))
-            return spans
-
-    else:
-        every = ((0, 0, 1),) if no_ones else ((-big, big, 1),)
-
-        def spans_of(r_sum: int, low: int):
-            return every
-
+    # The y wanted for a prefix, before the budget cuts them, as spans
+    # (y_lo, y_hi, m), m the weight of their cores.  When paired, the y
+    # below cap = x_0 + r_sum have x_0 + x_{t-1} > 0 and stand for a pair;
+    # at cap the sum is 0.  At t = 2 every core is its own conjugate.
+    pair = paired and last
+    spans = ((-big, big, 1),)
     # the last two coordinates: x_{t-2} = y and x_{t-1} = r_sum - y cost
     # 2t*y^2 - b*y + c0 together, a quadratic solved for y
-    for s, w, low in prefixes():
+    for s, w in prefixes():
         r_sum = -s
         b = 2 * t * r_sum + 2
         c0 = t * r_sum * r_sum + (t - 1) * r_sum
@@ -193,11 +151,14 @@ def charge_vectors(
         if disc < 0:
             continue
         root = isqrt(disc)
+        if pair:
+            cap = z[0] // t + r_sum
+            spans = (-big, cap - 1, 2), (cap, cap, 1)
         if exact:
             if root * root != disc:
                 continue
             ys = {(b - root) // t4, (b + root) // t4}
-            for y_lo, y_hi, m in spans_of(r_sum, low):
+            for y_lo, y_hi, m in spans:
                 for y in ys:
                     if y_lo <= y <= y_hi and (t4 * y - b) ** 2 == disc:
                         z[z_last] = z_last + t * y
@@ -206,7 +167,7 @@ def charge_vectors(
             continue
         lo = -((root - b) // t4)
         hi = (b + root) // t4
-        for y_lo, y_hi, m in spans_of(r_sum, low):
+        for y_lo, y_hi, m in spans:
             if y_lo < lo:
                 y_lo = lo
             if y_hi > hi:
@@ -215,6 +176,55 @@ def charge_vectors(
                 z[z_last] = z_last + t * y
                 z[z_end] = z_end + t * (r_sum - y)
                 yield (w + 2 * t * y * y - b * y + c0) >> 1, z, m
+
+
+def restricted_vectors(
+    t: int, m: int, n_max: int, exact: bool
+) -> Iterator[tuple[int, list[int], int]]:
+    """(n, z, 1) as charge_vectors(t, n_max, exact) yields them, for the
+    cores with no part below m >= 2 alone, each z a new list: the points
+    x' of N^(t-m), with runners t-1 down to m fixed in turn."""
+    budget = 2 * n_max
+    zp = list(range(t))  # z'_c = c + t*x'_c
+    if m >= t:  # the empty core alone
+        if not exact or n_max == 0:
+            yield 0, zp, 1
+        return
+
+    def span(c: int, s: int, w: int):
+        # the x'_c whose completion on runners m..c-1 can stay within the
+        # budget over the reals; at c = m, exactly those within it
+        tk = t - c + m
+        p = 2 * t * s - (c - m) * (c + m - t)  # 2ts - G1
+        e = tk * (2 * c - t + 1) - p
+        g2 = sum((2 * b - t + 1) ** 2 for b in range(m, c))
+        d = e * e + (tk - 1) * (tk * g2 + p * p - 4 * t * tk * (w - budget))
+        if d < 0:
+            return ()
+        q, r = 2 * t * (tk - 1), isqrt(d)
+        xs = range(max(0, -((e + r) // q)), (r - e) // q + 1)
+        return xs if c > m or not exact or not xs else {xs[0], xs[-1]}
+
+    fixed = [(0, 0)] * t  # (sum, cost) of runners c+1..t-1, for each c
+    its = [iter(span(t - 1, 0, 0))] * t
+    c = t - 1
+    while c < t:
+        for x in its[c]:
+            s, w = fixed[c]
+            s += x
+            w += t * x * x + (2 * c - t + 1) * x
+            zp[c] = c + t * x
+            if c > m:
+                c -= 1
+                fixed[c] = s, w
+                its[c] = iter(span(c, s, w))
+                break
+            n = (w - s * s) >> 1
+            if n == n_max or not exact:
+                r = s % t
+                yield n, [v - s for v in zp[r:] + zp[:r]], 1
+        else:
+            c += 1
 
 
 def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
@@ -297,29 +307,29 @@ def kept_vectors(
     t: int, n_max: int, exact: bool, f: PartFilter, paired: bool = False
 ) -> Iterator[tuple[int, list[int], int]]:
     """charge_vectors(t, n_max, exact) without the cores whose parts fail
-    the filter; z is rewritten in place between yields.
-
-    Part 1 is decided by the narrowing alone: when the filter forbids 1,
-    the vectors are narrowed per prefix to the cores with no part 1, and
-    part_test decides the larger forbidden values on each core that is
-    left, if there are any.  When the filter forbids nothing, paired asks
-    for one core of each conjugate pair with its weight (conjugation keeps
-    the size and the hooks, not the parts).
+    the filter.  With m the least value it allows, restricted_vectors
+    builds the cores with no part below m when m >= 2, and part_test
+    decides the forbidden values above m.  When the filter forbids
+    nothing, paired asks for one core of each conjugate pair with its
+    weight (conjugation keeps the size and the hooks, not the parts).
     """
-    keep = part_test(f, t, n_max)
-    vectors = charge_vectors(
-        t, n_max, exact, paired=paired and keep is None, no_ones=not f.allows(1)
-    )
+    m = f.min_part
+    while m in f.excluded:
+        m += 1
+    keep = part_test(f, m, t, n_max)
+    if m > 1:
+        vectors = restricted_vectors(t, m, n_max, exact)
+    else:
+        vectors = charge_vectors(t, n_max, exact, paired=paired and keep is None)
     if keep is None:
         return vectors
     return (core for core in vectors if keep(core[1]))
 
 
-def part_test(f: PartFilter, t: int, n_max: int):
+def part_test(f: PartFilter, m: int, t: int, n_max: int):
     """A test on z that passes the cores with no part the filter forbids
-    from 2 up, or None when the filter forbids no value from 2 to n_max.
-    Part 1 is not tested here: the narrowing of charge_vectors (no_ones)
-    decides it.
+    above m, the least value it allows, or None when it forbids no value
+    from m to n_max.  The values below m are left to restricted_vectors.
 
     With g_1 < g_2 < ... the empty positions of the abacus, the beads
     between g_v and g_{v+1} are the parts equal to v, so v is a part
@@ -327,8 +337,7 @@ def part_test(f: PartFilter, t: int, n_max: int):
     value, only the lowest top + 1 gaps matter, and they lie among the gaps
     of the top + 1 runners whose first gap is lowest.
     """
-    low = range(2, min(f.min_part, n_max + 1))
-    forbidden = sorted({v for v in f.excluded if 1 < v <= n_max}.union(low))
+    forbidden = sorted(v for v in f.excluded if m < v <= n_max)
     if not forbidden:
         return None
     need = forbidden[-1] + 1

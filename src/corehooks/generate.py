@@ -5,9 +5,10 @@ reverse-lexicographic order on the part sequences, largest parts first:
 [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
 
 The t-cores come from their charge vectors on the t-abacus (_abacus), the
-engine that also counts their hooks: the vectors are enumerated, a core
-whose parts fail the filter is dropped on its beads alone, and the parts
-of the rest are read off the beads in O(n) each and sorted.  For t > n
+engine that also counts their hooks: the vectors are enumerated (only the
+points of N^(t-m) when no part below m >= 2 is allowed), a core with a
+forbidden part above m is dropped on its beads alone, and the parts of
+the rest are read off the beads in O(n) each and sorted.  For t > n
 every partition of n is a t-core, so there the filtered partition stream
 is used.
 """
@@ -255,7 +256,8 @@ def t_cores_up_to(
 
 def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
     """Number of t-core partitions of n passing the filter; with no
-    filter, one core of each conjugate pair is visited and weighted."""
+    filter, one core of each conjugate pair is visited and weighted, and
+    with no part below m >= 2 allowed only the cores of N^(t-m) are."""
     _check_core_args(n, t)
     if t > n:
         return sum(map(f.passes, iter_partition_parts(n)))

@@ -164,6 +164,28 @@ def test_count_makes_one_pass_per_n(capsys, monkeypatch):
     assert calls == [(27, True), (28, True), (29, True)]
 
 
+def test_restricted_count_makes_one_walk_per_n(capsys, monkeypatch):
+    # a filter with no part below 3 walks N^(t-3) once per n and never the
+    # full charge vectors
+    calls = []
+    real = _abacus.restricted_vectors
+
+    def counted(t, m, n_max, exact):
+        calls.append((t, m, n_max, exact))
+        return real(t, m, n_max, exact)
+
+    def unreached(*args, **opts):
+        raise AssertionError("charge_vectors called")
+
+    monkeypatch.setattr(_abacus, "restricted_vectors", counted)
+    monkeypatch.setattr(_abacus, "charge_vectors", unreached)
+    code, _, _ = run_cli(
+        capsys, "count", "--t", "5", "--k", "1,3", "--n", "27..29", "--exclude", "1,2"
+    )
+    assert code == 0
+    assert calls == [(5, 3, 27, True), (5, 3, 28, True), (5, 3, 29, True)]
+
+
 def test_conj_scan_with_t_above_n(capsys):
     code, out, err = run_cli(
         capsys, "conj-scan", "--t", "2000", "--ks", "1,2", "--relations", ">=",

@@ -189,36 +189,47 @@ def test_streams_with_t_above_n_are_partitions(f):
     assert swept == [(n, parts) for n in range(16) for parts in want[n]]
 
 
+def _least_allowed(f):
+    return next(v for v in range(1, 100) if f.allows(v))
+
+
 @pytest.mark.parametrize("t", range(2, 8))
 def test_part_test_matches_passes(t):
     # every filter forbidding a value up to 6, on every core of n <= 60;
     # the parts come from the conftest bead conversion, not the package's.
-    # part_test leaves part 1 to the narrowing, so it judges the parts
-    # from 2 up
+    # part_test leaves the values below the least allowed one, m, to the
+    # restricted walk, so it judges the parts above m
     filters = [
         PartFilter(excluded=frozenset(excl), min_part=m)
         for m in (1, 2, 3)
         for excl in ((), (1,), (2,), (1, 2), (3,), (2, 5), (1, 4, 6))
     ]
-    tests = [(f, _abacus.part_test(f, t, 60)) for f in filters]
+    least = [_least_allowed(f) for f in filters]
+    tests = [(f, m, _abacus.part_test(f, m, t, 60)) for f, m in zip(filters, least)]
     for n, z, _ in _abacus.charge_vectors(t, 60, False):
         parts = _partition_from_vector(tuple((zc - c) // t for c, zc in enumerate(z)), t)
         assert sum(parts) == n
-        for f, keep in tests:
+        for f, m, keep in tests:
             if keep is None:
-                assert all(f.allows(v) for v in range(2, 61)), f
+                assert all(f.allows(v) for v in range(m, 61)), f
             else:
-                assert keep(z) == all(v == 1 or f.allows(v) for v in parts), (f, parts)
+                assert keep(z) == all(v < m or f.allows(v) for v in parts), (f, parts)
 
 
-# filters of the narrowing test below; {2} leaves part 1 allowed
+# filters of the restricted-walk test below; {2} leaves part 1 allowed.
+# min_part 5 and 9 reach m >= t, and {1, 2, 5} and ({6}, min_part 3) forbid
+# a value above the run below the least allowed one
 NARROWED = [
     C1,
     C12,
     PartFilter(min_part=3),
     PartFilter(min_part=4),
+    PartFilter(min_part=5),
+    PartFilter(min_part=9),
     PartFilter(excluded=frozenset({1, 4, 6})),
     PartFilter(excluded=frozenset({2})),
+    PartFilter(excluded=frozenset({1, 2, 5})),
+    PartFilter(excluded=frozenset({6}), min_part=3),
 ]
 
 
@@ -226,11 +237,11 @@ NARROWED = [
     "t,n_max", [(2, 300), (3, 200), (4, 120), (5, 70), (6, 50), (7, 40), (8, 35), (9, 30)]
 )
 def test_kept_vectors_match_the_filter_on_parts(t, n_max):
-    # A filter that forbids 1 narrows each abacus prefix to the cores with
-    # no part 1 before part_test runs.  The kept (n, z) must be exactly the
-    # cores whose parts pass the filter, over a range and at two exact
-    # sizes, and the narrowing alone must keep exactly the cores with no
-    # part 1.
+    # A filter whose least allowed value m is 2 or more builds the cores
+    # with no part below m on N^(t-m) before part_test runs.  The kept
+    # (n, z) must be exactly the cores whose parts pass the filter, over a
+    # range and at two exact sizes, and the walk at m = 2 alone must yield
+    # exactly the cores with no part 1.
     every = [(n, tuple(z)) for n, z, _ in _abacus.charge_vectors(t, n_max, False)]
     parts = {z: _abacus.core_parts(z, t) for _, z in every}
     for exact, top in ((False, n_max), (True, n_max), (True, n_max - 1)):
@@ -241,9 +252,22 @@ def test_kept_vectors_match_the_filter_on_parts(t, n_max):
             )
             assert got == Counter((n, z, 1) for n, z in sized if f.passes(parts[z])), f
         got = Counter(
-            (n, tuple(z)) for n, z, _ in _abacus.charge_vectors(t, top, exact, no_ones=True)
+            (n, tuple(z), m) for n, z, m in _abacus.restricted_vectors(t, 2, top, exact)
         )
-        assert got == Counter((n, z) for n, z in sized if 1 not in parts[z])
+        assert got == Counter((n, z, 1) for n, z in sized if 1 not in parts[z])
+
+
+def test_restricted_4cores_are_thm16s_family():
+    # The 4-cores with no parts 1, 2 are N^1: (3L, ..., 6, 3) at
+    # n = 3L(L+1)/2 and nothing else, on the abacus and on the walker.
+    want = [
+        (3 * L * (L + 1) // 2, tuple(range(3 * L, 0, -3)))
+        for L in range(20)
+        if 3 * L * (L + 1) // 2 <= 600
+    ]
+    got = [(n, p.parts) for n, p in t_cores_up_to(600, 4, C12)]
+    assert got == want
+    assert sorted(walk_t_cores(4, 600, False, frozenset({1, 2}))) == want
 
 
 @pytest.mark.parametrize("t", range(2, 9))

@@ -22,6 +22,7 @@ from conftest import (
     naive_partitions,
     walk_t_cores,
 )
+from test_generate import NARROWED
 
 C1 = PartFilter(excluded=frozenset({1}))
 C12 = PartFilter(excluded=frozenset({1, 2}))
@@ -239,6 +240,19 @@ def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch)
     want, want_counts = real(((n, z, 1) for n, z in every), 5, (1, 3))
     assert core_counts == [want_counts[n] for n in range(121)]
     assert tables == [want.get(n, Counter()) for n in range(121)]
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_restricted_tables_match_the_walker(t):
+    # every hook length under each restricted filter, against the conftest
+    # walker and diagram hooks, which share nothing with the abacus
+    for f in NARROWED:
+        want = [Counter() for _ in range(41)]
+        counts = [0] * 41
+        for n, parts in walk_t_cores(t, 40, False, f.excluded, f.min_part):
+            want[n].update(naive_hooks(parts))
+            counts[n] += 1
+        assert hook_count_table(t, 40, f) == (want, counts), f
 
 
 def _one_minus_last(x):

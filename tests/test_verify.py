@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -243,15 +244,24 @@ def test_checks_name_the_largest_closed_form_step():
 
 def test_thm16_sweeps_its_table_once(monkeypatch):
     calls = []
-    real = _abacus.charge_vectors
+    real = _abacus.restricted_vectors
 
-    def counted(t, n_max, exact, **opts):
+    def counted(t, m, n_max, exact):
         calls.append((t, n_max, exact))
-        return real(t, n_max, exact, **opts)
+        return real(t, m, n_max, exact)
 
-    monkeypatch.setattr(_abacus, "charge_vectors", counted)
+    monkeypatch.setattr(_abacus, "restricted_vectors", counted)
     assert run_check("thm16", 300).holds
     assert calls == [(4, 300, False)]
+
+
+@pytest.mark.parametrize("name", ["thm16", "thm18"])
+def test_restricted_checks_walk_only_their_cores(name):
+    # the restricted cores are built on N^(t-3), not filtered out of every
+    # t-core: each check through n = 20000 stays well under 2 s in process
+    start = time.perf_counter()
+    assert run_check(name, 20000).holds
+    assert time.perf_counter() - start < 2
 
 
 def test_thm19_sweeps_each_t_once(monkeypatch):
