@@ -1,55 +1,60 @@
-"""t-cores as charge vectors on the t-abacus, and the hooks read off them.
+"""t-cores as points of N^(t-m) on the t-abacus, and the hooks read off them.
 
 Garvan, Kim and Stanton (*Cranks and t-cores*, Invent. Math. 101, 1990)
 place the beads of a t-core on t runners with no gap inside any runner.
-Runner c ends x_c levels above where it ends for the empty partition, and
-the charge vector x = (x_0, ..., x_{t-1}) sums to 0.  Every integer vector
-with sum 0 belongs to exactly one t-core, whose size is
+Put one bead per part: L beads, position 0 empty, bead b giving the part
+b - #{beads below b}.  The lowest bead is the smallest part and the
+runners are flush, so the t-cores with every part >= m >= 1 are exactly
+the points x' of N^(t-m), one bead count per runner c = m..t-1 (runner 0
+is empty with position 0), and for m >= t only the empty core is left.
+A core's size is n = sum(c*x'_c + t*C(x'_c, 2)) - C(L, 2), L = sum(x'_c).
 
-    n = (t/2) * sum(x_c^2) + sum(c * x_c).
-
-The code works with z_c = c + t*x_c, the first empty position of runner
+The code works with z'_c = c + t*x'_c, the first empty position of runner
 c.  A k-hook is a bead with an empty position k below it, so a core has
 
     sum over c of max(0, z_c - z_{(c-k) mod t} - k) / t
 
-hooks of length k.  For k = a*t + d with 0 < d < t the term of runner c is
-max(0, x_c - x_{(c-d) mod t} - a - [c < d]); for k divisible by t every
-term is 0.  A core therefore costs O(t) per hook length, where its diagram
-costs O(n).
+hooks of length k, for k divisible by t none.  That count, the parts and
+the gaps between empty positions stay the same when every position moves
+by the same amount and the runner labels turn with it, so every consumer
+takes z' as it is; the charge vector x with sum 0 of the same core has
+z_c = c + t*x_c = z'_{(c+L) mod t} - L.  A core costs O(t) per hook
+length, where its diagram costs O(n).
 
-Sizes are doubled and centred: coordinate c with value x costs
-w_c(x) = t*x^2 + (2c - t + 1)*x, which is 0 at x = 0 and positive
-elsewhere, and the costs of a vector with sum 0 add up to 2n.  The
-enumerator fixes x_0, x_1, ... in turn and cuts a prefix as soon as the
-cheapest completion exceeds the budget.  Over the reals the completion on
-coordinates i..t-1 with sum R costs at least
+Sizes are doubled and centred: runner c with x beads costs
+w_c(x) = t*x^2 + g_c*x, g_c = 2c - t + 1, and 2n = sum(w_c(x'_c)) - L^2.
+The walk fixes runners t-1 down to m+1 in turn, with two bounds on the
+runners m..c-1 still free.  With s and w the sum and cost fixed so far,
+x'_c included, and k runners free, any real completion gives
 
-    ((2tR + m*i)^2 / m - G_i) / (4t),   m = t - i,  G_i = sum_{c >= i} (2c - t + 1)^2,
+    2n >= w - (G2 + (2ts - G1)^2 / (t - k)) / (4t),
 
-because w_c(y) = ((2ty + g_c)^2 - g_c^2) / (4t) with g_c = 2c - t + 1 and
-the sum of the 2ty + g_c is fixed.  Integer values add a second bound:
-a positive unit on coordinate c >= i costs at least 2i + 1 and a negative
-unit at least 1.  The last two coordinates are solved, not searched: their
-sum is fixed, so their cost is a quadratic in y = x_{t-2}.  Conjugation
-maps x to (-x_{t-1}, ..., -x_0), another core of the same size with the
-same hooks, so a total over all cores needs one core of each conjugate
-pair, weighted: the y with x_0 + x_{t-1} >= 0, the core counting twice
-when the sum is positive.  Hook tables and core counts with no filter use
-the pairing; ordered streams see every core.
+G1 and G2 the sums of g_b and g_b^2 over the free runners (G2 summed once
+per call), so x'_c ranges over the integer interval where this stays
+within 2n_max.  Each x'_c in it is then kept only if the cheapest integer
+completion stays within 2n_max too.  That completion adds beads at the
+lowest free positions while each lowers n.  The i-th bead added lies in
+level j = (i-1) // k, at m + (i-1) mod k + jt, and lowers n by s + i - 1
+minus that, s - m - j(t - k) for the whole level; so it fills the l
+levels j with m + j(t - k) < s.  The last runner m is solved, not
+searched: with s and w the sum and cost of runners m+1..t-1,
 
-A core with no part below m >= 2 is built, not filtered.  With one bead
-per part (L beads, position 0 empty) bead b gives the part
-b - #{beads below b}, so the lowest bead is the smallest part, and the
-runners are flush: the t-cores with every part >= m are the bead counts
-x' in N^(t-m) of runners m..t-1 (the empty core when m >= t), of size
-n = sum(c*x'_c + t*C(x'_c, 2)) - C(L, 2) with L = sum(x'_c), so that
-2n = sum(w_c(x'_c)) - L^2, and z_c = z'_{(c+L) mod t} - L with
-z'_c = c + t*x'_c.  Runners t-1 down to m are fixed in turn, each x'_c
-within the bound 2n >= w - (G2 + (2ts - G1)^2 / (t - k)) / (4t) over the
-reals: s and w are the sum and cost fixed so far, x'_c included, and G1,
-G2 the sums of g_c, g_c^2 over the k runners left.  So the 4-cores with
-no parts 1, 2 are N^1: (3L, ..., 6, 3) at n = 3L(L+1)/2, thm16's form.
+    2n = (t-1)x^2 + (2m - t + 1 - 2s)x + w - s^2,   x = x'_m,
+
+a quadratic whose root interval (for one exact n, its integer roots)
+gives the cores of the prefix.  So the 4-cores with no parts 1, 2 are N^1:
+(3L, ..., 6, 3) at n = 3L(L+1)/2, thm16's form.
+
+Conjugation maps x to (-x_{t-1}, ..., -x_0), another core of the same
+size with the same hooks, so a total over all cores needs one core of
+each conjugate pair, weighted.  On z', with r = L mod t,
+
+    x_0 + x_{t-1} = (z'_r + z'_{r-1} - 2L - (t-1)) / t,
+
+and a core with a positive sum stands for itself and its conjugate, one
+with sum 0 for itself alone, and one with a negative sum is skipped.  Hook
+tables and core counts with no filter use the pairing; ordered streams
+see every core.
 
 Everything here is iterative, and the callers pass t no larger than
 n + 1, so the work is bounded by n and never by t.
@@ -66,165 +71,101 @@ if TYPE_CHECKING:
     from .generate import PartFilter
 
 
-def charge_vectors(
-    t: int, n_max: int, exact: bool, paired: bool = False
+def core_vectors(
+    t: int, m: int, n_max: int, exact: bool, paired: bool = False
 ) -> Iterator[tuple[int, list[int], int]]:
-    """Yield (n, z, m) for the t-cores of size n <= n_max, or n == n_max
-    when exact, in no particular order.  z is one list, rewritten in place
-    between yields, and m is the number of cores z stands for.
-
-    By default every core comes once, with m = 1.  paired yields one core
-    of each conjugate pair: a core with x_0 + x_{t-1} > 0 stands for itself
-    and its conjugate (m = 2), one with x_0 + x_{t-1} = 0 for itself alone,
-    and one with x_0 + x_{t-1} < 0 is left out.
+    """Yield (n, z', w) for the t-cores with no part below m >= 1 of size
+    n <= n_max, or n == n_max when exact, in no particular order.  z' is
+    one list, rewritten in place between yields, and w is the number of
+    cores it stands for: 1, unless paired (which needs m = 1) yields one
+    core of each conjugate pair, weighted.
     """
     budget = 2 * n_max
-    z = list(range(t))
-    tails = [0] * (t + 1)  # tails[i] = G_i
-    for c in range(t - 1, -1, -1):
-        tails[c] = tails[c + 1] + (2 * c - t + 1) ** 2
-    last = t - 2  # x_{t-2} is solved with x_{t-1}
-    z_last, z_end = last, t - 1
-    t4 = 4 * t
-    big = budget + 1  # above |x_c| for every core within the budget
-
-    def interval(j: int, r_sum: int, room: int) -> tuple[int, int]:
-        # the x_j whose completion on j+1..t-1 (sum r_sum - x_j) can stay
-        # within room over the reals: a quadratic inequality in x_j
-        m = t - j - 1
-        p = 2 * t * r_sum + m * (j + 1)
-        a2 = 2 * t * (m + 1)
-        b1 = m * (2 * j - t + 1) - p
-        e = t * b1 * b1 - (a2 >> 1) * (p * p - m * tails[j + 1] - t4 * m * room)
-        if e < 0:
-            return 1, 0
-        root = isqrt(e // t)
-        return -((b1 + root) // a2), (root - b1) // a2
+    z = list(range(t))  # z'_c = c + t*x'_c
+    if m >= t:  # the empty core alone
+        if not exact or n_max == 0:
+            yield 0, z, 1
+        return
+    t1 = t - 1
+    q = 2 * t1
+    g_m = 2 * m - t + 1
+    g2 = [0] * t  # g2[c]: the sum of g_b^2 over runners m <= b < c
+    for c in range(m, t1):
+        g2[c + 1] = g2[c] + (2 * c - t + 1) ** 2
 
     def prefixes() -> Iterator[tuple[int, int]]:
-        # (sum, cost) for each prefix x_0..x_{t-3} whose completion can stay
-        # within the budget, with z_0..z_{t-3} set
-        if last == 0:
+        # (sum, cost) of runners m+1..t-1 for each prefix within the
+        # budget, with their z' set
+        if m == t1:
             yield 0, 0
             return
-        sums = [0] * last
-        costs = [0] * last
-        xs = [0] * last
-        tops = [0] * last
-        lo, tops[0] = interval(0, 0, budget)
-        xs[0] = lo - 1
-        j = 0
-        while j >= 0:
-            x = xs[j] + 1
-            if x > tops[j]:
-                j -= 1
-                continue
-            xs[j] = x
-            s = sums[j] + x
-            w = costs[j] + t * x * x + (2 * j - t + 1) * x
-            room = budget - w
-            if s > room or (s < 0 and -s * (2 * j + 3) > room):
-                continue
-            z[j] = j + t * x
-            if j + 1 == last:
-                yield s, w
-                continue
-            j += 1
-            sums[j] = s
-            costs[j] = w
-            lo, tops[j] = interval(j, -s, room)
-            xs[j] = lo - 1
+        fixed = [(0, 0)] * t  # (sum, cost) of runners c+1..t-1, for each c
+        tried = [0] * t  # the x'_c tried last
+        tops = [0] * t  # the largest x'_c within the real bound
+        c, s, w = t1, 0, 0
+        while True:
+            # a new runner c: the x'_c whose completion on the k runners
+            # m..c-1 can stay within the budget over the reals, an interval
+            # and not empty, since the cheapest integer completion fits
+            k, tk = c - m, t - c + m
+            p = 2 * t * s - k * (k + 2 * m - t)  # 2ts - G1
+            e = tk * (2 * c - t + 1) - p
+            qc = 2 * t * (tk - 1)
+            d = e * e + (tk - 1) * (tk * g2[c] + p * p) + 2 * tk * qc * (budget - w)
+            r = isqrt(d)
+            x = -((e + r) // qc)
+            tried[c] = x - 1 if x > 0 else -1
+            tops[c] = (r - e) // qc
+            while True:
+                x = tried[c] + 1
+                if x > tops[c]:
+                    c += 1
+                    if c == t:
+                        return
+                    k, tk = k + 1, tk - 1
+                    continue
+                tried[c] = x
+                s, w = fixed[c]
+                s += x
+                w += t * x * x + (2 * c - t + 1) * x
+                z[c] = c + t * x
+                if c == m + 1:
+                    yield s, w
+                    continue
+                # the integer test: the cheapest completion fills l whole
+                # levels of the k free runners
+                l = (s - m - 1) // tk + 1 if s > m else 0
+                if w - s * s + k * l * (2 * (m - s) + tk * (l - 1)) <= budget:
+                    break
+            c -= 1
+            fixed[c] = s, w
 
-    # The y wanted for a prefix, before the budget cuts them, as spans
-    # (y_lo, y_hi, m), m the weight of their cores.  When paired, the y
-    # below cap = x_0 + r_sum have x_0 + x_{t-1} > 0 and stand for a pair;
-    # at cap the sum is 0.  At t = 2 every core is its own conjugate.
-    pair = paired and last
-    spans = ((-big, big, 1),)
-    # the last two coordinates: x_{t-2} = y and x_{t-1} = r_sum - y cost
-    # 2t*y^2 - b*y + c0 together, a quadratic solved for y
     for s, w in prefixes():
-        r_sum = -s
-        b = 2 * t * r_sum + 2
-        c0 = t * r_sum * r_sum + (t - 1) * r_sum
-        disc = b * b - 8 * t * (c0 + w - budget)
+        b = g_m - 2 * s
+        c0 = w - s * s
+        disc = b * b + 2 * q * (budget - c0)  # (q*x + b)^2 <= disc within the budget
         if disc < 0:
             continue
         root = isqrt(disc)
-        if pair:
-            cap = z[0] // t + r_sum
-            spans = (-big, cap - 1, 2), (cap, cap, 1)
         if exact:
             if root * root != disc:
                 continue
-            ys = {(b - root) // t4, (b + root) // t4}
-            for y_lo, y_hi, m in spans:
-                for y in ys:
-                    if y_lo <= y <= y_hi and (t4 * y - b) ** 2 == disc:
-                        z[z_last] = z_last + t * y
-                        z[z_end] = z_end + t * (r_sum - y)
-                        yield n_max, z, m
-            continue
-        lo = -((root - b) // t4)
-        hi = (b + root) // t4
-        for y_lo, y_hi, m in spans:
-            if y_lo < lo:
-                y_lo = lo
-            if y_hi > hi:
-                y_hi = hi
-            for y in range(y_lo, y_hi + 1):
-                z[z_last] = z_last + t * y
-                z[z_end] = z_end + t * (r_sum - y)
-                yield (w + 2 * t * y * y - b * y + c0) >> 1, z, m
-
-
-def restricted_vectors(
-    t: int, m: int, n_max: int, exact: bool
-) -> Iterator[tuple[int, list[int], int]]:
-    """(n, z, 1) as charge_vectors(t, n_max, exact) yields them, for the
-    cores with no part below m >= 2 alone, each z a new list: the points
-    x' of N^(t-m), with runners t-1 down to m fixed in turn."""
-    budget = 2 * n_max
-    zp = list(range(t))  # z'_c = c + t*x'_c
-    if m >= t:  # the empty core alone
-        if not exact or n_max == 0:
-            yield 0, zp, 1
-        return
-
-    def span(c: int, s: int, w: int):
-        # the x'_c whose completion on runners m..c-1 can stay within the
-        # budget over the reals; at c = m, exactly those within it
-        tk = t - c + m
-        p = 2 * t * s - (c - m) * (c + m - t)  # 2ts - G1
-        e = tk * (2 * c - t + 1) - p
-        g2 = sum((2 * b - t + 1) ** 2 for b in range(m, c))
-        d = e * e + (tk - 1) * (tk * g2 + p * p - 4 * t * tk * (w - budget))
-        if d < 0:
-            return ()
-        q, r = 2 * t * (tk - 1), isqrt(d)
-        xs = range(max(0, -((e + r) // q)), (r - e) // q + 1)
-        return xs if c > m or not exact or not xs else {xs[0], xs[-1]}
-
-    fixed = [(0, 0)] * t  # (sum, cost) of runners c+1..t-1, for each c
-    its = [iter(span(t - 1, 0, 0))] * t
-    c = t - 1
-    while c < t:
-        for x in its[c]:
-            s, w = fixed[c]
-            s += x
-            w += t * x * x + (2 * c - t + 1) * x
-            zp[c] = c + t * x
-            if c > m:
-                c -= 1
-                fixed[c] = s, w
-                its[c] = iter(span(c, s, w))
-                break
-            n = (w - s * s) >> 1
-            if n == n_max or not exact:
-                r = s % t
-                yield n, [v - s for v in zp[r:] + zp[:r]], 1
+            # q*x + b is root or -root for a non-negative integer x
+            xs = {v // q for v in (root - b, -root - b) if v >= 0 and v % q == 0}
         else:
-            c += 1
+            xs = range(max(0, -((root + b) // q)), (root - b) // q + 1)
+        for x in xs:
+            z[m] = m + t * x
+            n = ((t1 * x + b) * x + c0) >> 1
+            if paired:
+                L = s + x
+                r = L % t
+                v = z[r] + z[r - 1] - 2 * L - t1  # t * (x_0 + x_{t-1})
+                if v < 0:
+                    continue
+                yield n, z, 2 if v else 1
+            else:
+                yield n, z, 1
 
 
 def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
@@ -249,7 +190,7 @@ def hook_table(
     t: int,
     ks: Sequence[int] | None,
 ) -> tuple[dict[int, Counter], Counter]:
-    """Hook counts of the given cores (n, z, m), each standing for m cores
+    """Hook counts of the given cores (n, z, w), each standing for w cores
     with its hooks, by size: (tables, core_counts) with tables[n] mapping
     hook length to its total over the cores of size n.  With ks None every
     hook length is counted, otherwise only the ks.  Only sizes with a core
@@ -257,8 +198,8 @@ def hook_table(
     core_counts: Counter = Counter()
     if ks is None:
         tables: dict[int, Counter] = {}
-        for n, z, m in cores:
-            core_counts[n] += m
+        for n, z, w in cores:
+            core_counts[n] += w
             tally = tables.get(n)
             if tally is None:
                 tally = tables[n] = Counter()
@@ -272,7 +213,7 @@ def hook_table(
                         break
                     k = (c - c2) % t
                     while k < span:
-                        tally[k] += (span - k) // t * m
+                        tally[k] += (span - k) // t * w
                         k += t
         return tables, core_counts
     # the distinct ks by k mod t, each with its slot in a row of sums;
@@ -283,8 +224,8 @@ def hook_table(
         groups.setdefault(k % t, []).append((k, slot))
     plan = list(groups.items())
     sums: dict[int, list[int]] = {}
-    for n, z, m in cores:
-        core_counts[n] += m
+    for n, z, w in cores:
+        core_counts[n] += w
         row = sums.get(n)
         if row is None:
             row = sums[n] = [0] * len(wanted)
@@ -295,7 +236,7 @@ def hook_table(
                 for v in diffs:
                     if v > k:
                         total += v - k
-                row[slot] += total * m
+                row[slot] += total * w
     tables = {
         n: Counter({k: v // t for k, v in zip(wanted, row) if v})
         for n, row in sums.items()
@@ -306,21 +247,17 @@ def hook_table(
 def kept_vectors(
     t: int, n_max: int, exact: bool, f: PartFilter, paired: bool = False
 ) -> Iterator[tuple[int, list[int], int]]:
-    """charge_vectors(t, n_max, exact) without the cores whose parts fail
-    the filter.  With m the least value it allows, restricted_vectors
-    builds the cores with no part below m when m >= 2, and part_test
-    decides the forbidden values above m.  When the filter forbids
-    nothing, paired asks for one core of each conjugate pair with its
-    weight (conjugation keeps the size and the hooks, not the parts).
+    """core_vectors for the cores whose parts pass the filter.  With m the
+    least value it allows, the walk builds the cores with no part below m,
+    and part_test decides the forbidden values above m.  When the filter
+    forbids nothing, paired asks for one core of each conjugate pair with
+    its weight (conjugation keeps the size and the hooks, not the parts).
     """
     m = f.min_part
     while m in f.excluded:
         m += 1
     keep = part_test(f, m, t, n_max)
-    if m > 1:
-        vectors = restricted_vectors(t, m, n_max, exact)
-    else:
-        vectors = charge_vectors(t, n_max, exact, paired=paired and keep is None)
+    vectors = core_vectors(t, m, n_max, exact, paired and m == 1 and keep is None)
     if keep is None:
         return vectors
     return (core for core in vectors if keep(core[1]))
@@ -329,7 +266,7 @@ def kept_vectors(
 def part_test(f: PartFilter, m: int, t: int, n_max: int):
     """A test on z that passes the cores with no part the filter forbids
     above m, the least value it allows, or None when it forbids no value
-    from m to n_max.  The values below m are left to restricted_vectors.
+    from m to n_max.  The values below m are left to core_vectors.
 
     With g_1 < g_2 < ... the empty positions of the abacus, the beads
     between g_v and g_{v+1} are the parts equal to v, so v is a part

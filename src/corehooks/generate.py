@@ -4,13 +4,12 @@ All generators are deterministic and emit partitions of a fixed n in
 reverse-lexicographic order on the part sequences, largest parts first:
 [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
 
-The t-cores come from their charge vectors on the t-abacus (_abacus), the
-engine that also counts their hooks: the vectors are enumerated (only the
-points of N^(t-m) when no part below m >= 2 is allowed), a core with a
-forbidden part above m is dropped on its beads alone, and the parts of
-the rest are read off the beads in O(n) each and sorted.  For t > n
-every partition of n is a t-core, so there the filtered partition stream
-is used.
+The t-cores come from the walk of _abacus, the engine that also counts
+their hooks: the cores with no part below m, the least allowed value, are
+the points of N^(t-m), one bead count per runner; a core with a forbidden
+part above m is dropped on its beads alone, and the parts of the rest are
+read off the beads in O(n) each and sorted.  For t > n every partition
+of n is a t-core, so there the filtered partition stream is used.
 """
 
 from __future__ import annotations
@@ -235,9 +234,10 @@ def t_cores_up_to(
     """(n, partition) for every t-core of every n <= n_max passing the
     filter, n ascending, each n in the order of t_cores_of.
 
-    One pass over the charge vectors of every size <= n_max keeps the z
-    of each passing core, t ints in an array per size that has a core,
-    and the parts of one size are built only when that size is reached.
+    One walk over the cores of every size <= n_max keeps the first empty
+    positions of each passing core, t ints in an array per size that has
+    a core, and the parts of one size are built only when that size is
+    reached.
     """
     _check_core_args(n_max, t)
     if t > n_max:
@@ -255,9 +255,9 @@ def t_cores_up_to(
 
 
 def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
-    """Number of t-core partitions of n passing the filter; with no
-    filter, one core of each conjugate pair is visited and weighted, and
-    with no part below m >= 2 allowed only the cores of N^(t-m) are."""
+    """Number of t-core partitions of n passing the filter; only the
+    cores of N^(t-m) are walked, m the least allowed part, and with no
+    filter one core of each conjugate pair is counted with its weight."""
     _check_core_args(n, t)
     if t > n:
         return sum(map(f.passes, iter_partition_parts(n)))

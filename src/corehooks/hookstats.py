@@ -2,12 +2,13 @@
 
 The central quantity is the total number of k-hooks across all t-core
 partitions of n, optionally restricted to partitions avoiding a set of
-part values.  Totals come from the charge vectors of the cores on the
-t-abacus (see _abacus): a range table is one pass over every vector of
-size at most n_max, a point query one pass over the vectors of size n,
-and each core costs O(t) per hook length.  With no filter only one core
-of each conjugate pair is visited, counted for both, since conjugation
-keeps the size and the hooks.  Every count is an exact integer.
+part values.  Totals come from the one walk of _abacus over the cores
+with no part below the least allowed value m, the points of N^(t-m): a
+range table is one walk over every core of size at most n_max, a point
+query one walk over the cores of size n, and each core costs O(t) per
+hook length.  With no filter the hooks of only one core of each
+conjugate pair are counted, for both, since conjugation keeps the size
+and the hooks.  Every count is an exact integer.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def total_hook_count(
 
 def _hook_counts_at(n: int, t: int, ks: Sequence[int], f: PartFilter) -> Counter:
     """Total number of k-hooks for each k in ks over the t-core partitions
-    of n that pass the filter, in one pass over the charge vectors of size
-    n.  A k with no hooks reads 0."""
+    of n that pass the filter, in one walk over the cores of size n.  A k
+    with no hooks reads 0."""
     te = _engine_t(t, n)
     for k in ks:
         if k < 1:
@@ -73,8 +74,8 @@ def hook_count_table(
     f: PartFilter = EMPTY_FILTER,
     ks: Sequence[int] | None = None,
 ) -> tuple[list[Counter], list[int]]:
-    """Hook counts for every n <= n_max in a single pass over the charge
-    vectors of the t-cores.
+    """Hook counts for every n <= n_max in a single walk over the
+    t-cores.
 
     Returns (tables, core_counts): tables[n] maps hook length to total
     count over the t-cores of n (restricted to ks when given), and

@@ -127,6 +127,15 @@ def charge_vector_of(parts: tuple[int, ...], t: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def vector_of_positions(z, t: int) -> tuple[int, ...]:
+    """The charge vector of the core whose runner c has its first empty
+    position at z[c] (z[c] = c mod t), wherever its beads begin: with L
+    the beads it has beyond the empty partition's, moving every position
+    down by L gives the charge-0 placement, z_c = z[(c + L) mod t] - L."""
+    L = sum(zc - c for c, zc in enumerate(z)) // t
+    return tuple((z[(c + L) % t] - L - c) // t for c in range(t))
+
+
 def _bead_set_from_vector(xs: tuple[int, ...], t: int) -> frozenset[int]:
     base = max(0, -min(xs)) + 1
     beads = set()

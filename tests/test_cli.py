@@ -152,33 +152,29 @@ def test_count_with_t_above_n_matches_walker(capsys, t):
 
 def test_count_makes_one_pass_per_n(capsys, monkeypatch):
     calls = []
-    real = _abacus.charge_vectors
+    real = _abacus.core_vectors
 
-    def counted(t, n_max, exact, **opts):
-        calls.append((n_max, exact))
-        return real(t, n_max, exact, **opts)
+    def counted(t, m, n_max, exact, paired=False):
+        calls.append((m, n_max, exact))
+        return real(t, m, n_max, exact, paired)
 
-    monkeypatch.setattr(_abacus, "charge_vectors", counted)
+    monkeypatch.setattr(_abacus, "core_vectors", counted)
     code, _, _ = run_cli(capsys, "count", "--t", "60", "--k", "2,7,30", "--n", "27..29")
     assert code == 0
-    assert calls == [(27, True), (28, True), (29, True)]
+    assert calls == [(1, 27, True), (1, 28, True), (1, 29, True)]
 
 
 def test_restricted_count_makes_one_walk_per_n(capsys, monkeypatch):
-    # a filter with no part below 3 walks N^(t-3) once per n and never the
-    # full charge vectors
+    # a filter with no part below 3 walks N^(t-3) once per n, never the
+    # lattice of every core
     calls = []
-    real = _abacus.restricted_vectors
+    real = _abacus.core_vectors
 
-    def counted(t, m, n_max, exact):
+    def counted(t, m, n_max, exact, paired=False):
         calls.append((t, m, n_max, exact))
-        return real(t, m, n_max, exact)
+        return real(t, m, n_max, exact, paired)
 
-    def unreached(*args, **opts):
-        raise AssertionError("charge_vectors called")
-
-    monkeypatch.setattr(_abacus, "restricted_vectors", counted)
-    monkeypatch.setattr(_abacus, "charge_vectors", unreached)
+    monkeypatch.setattr(_abacus, "core_vectors", counted)
     code, _, _ = run_cli(
         capsys, "count", "--t", "5", "--k", "1,3", "--n", "27..29", "--exclude", "1,2"
     )
@@ -300,6 +296,14 @@ RECORDED_SHA256 = [
     ("conj-scan --t 3 --ks 2,1 --relations >= --n-max 6 --format json", 1, "ba7d1ef4729546fa1aebce29d369549f21bae6ce999015150c235503e7d3ff09"),
     ("verify --check thm16 --n-max 1000 --format json", 0, "8483aa3bcd09473b3625572191943f4177190ea0857a56b9192db5c50cb769a4"),
     ("verify --check thm19 --n-max 400 --format json", 0, "6efe2c6e32f7de00ab379bf61f113524566ab08c4922e6ea6d7f47bada6ec0ad"),
+    # recorded while every core with part 1 still came from a charge-vector
+    # walk of its own: ordered streams at t = 6 and 7, a point query at
+    # n = 20000, a paired range at t = 6 and a restricted point query
+    ("enum --t 6 --n 60", 0, "f46fa95cbacfef651052088afa6b302f246e38b6351b2ec51d00a06bace74d40"),
+    ("enum --t 7 --n 50 --exclude 2", 0, "72c30ecde7a49df4e285a2758ed8ef31225eee87a81b362171a56aff31dd4779"),
+    ("count --t 5 --k 1,3,6 --n 20000 --format json", 0, "c8f476d3265a934be3e765297c199a7e27afd997690ad5bf71f6d7bc6ef91adf"),
+    ("count --t 6 --k 1,5 --n 150..160 --format json", 0, "e0f7ed35bb76d8d3c49a936dfeedaf843ac660855054db3e125394855d7a9d3d"),
+    ("count --t 5 --k 1,3 --n 2000 --min-part 3 --format json", 0, "58b1c9095df0b147b3510c4c2901ff094d9776342bda435fb69129b9e575dc7d"),
 ]
 
 

@@ -28,6 +28,7 @@ from conftest import (
     naive_partitions,
     partition_parts,
     three_core_count,
+    vector_of_positions,
     walk_t_cores,
     walker_cores_of,
 )
@@ -206,8 +207,8 @@ def test_part_test_matches_passes(t):
     ]
     least = [_least_allowed(f) for f in filters]
     tests = [(f, m, _abacus.part_test(f, m, t, 60)) for f, m in zip(filters, least)]
-    for n, z, _ in _abacus.charge_vectors(t, 60, False):
-        parts = _partition_from_vector(tuple((zc - c) // t for c, zc in enumerate(z)), t)
+    for n, z, _ in _abacus.core_vectors(t, 1, 60, False):
+        parts = _partition_from_vector(vector_of_positions(z, t), t)
         assert sum(parts) == n
         for f, m, keep in tests:
             if keep is None:
@@ -239,22 +240,24 @@ NARROWED = [
 def test_kept_vectors_match_the_filter_on_parts(t, n_max):
     # A filter whose least allowed value m is 2 or more builds the cores
     # with no part below m on N^(t-m) before part_test runs.  The kept
-    # (n, z) must be exactly the cores whose parts pass the filter, over a
-    # range and at two exact sizes, and the walk at m = 2 alone must yield
+    # cores must be exactly those whose parts pass the filter, over a range
+    # and at two exact sizes, and the walk at m = 2 alone must yield
     # exactly the cores with no part 1.
-    every = [(n, tuple(z)) for n, z, _ in _abacus.charge_vectors(t, n_max, False)]
-    parts = {z: _abacus.core_parts(z, t) for _, z in every}
+    every = [
+        (n, _abacus.core_parts(z, t)) for n, z, _ in _abacus.core_vectors(t, 1, n_max, False)
+    ]
     for exact, top in ((False, n_max), (True, n_max), (True, n_max - 1)):
-        sized = [(n, z) for n, z in every if n == top or not exact and n <= top]
+        sized = [(n, parts) for n, parts in every if n == top or not exact and n <= top]
         for f in NARROWED:
             got = Counter(
-                (n, tuple(z), m) for n, z, m in _abacus.kept_vectors(t, top, exact, f)
+                (n, _abacus.core_parts(z, t), m)
+                for n, z, m in _abacus.kept_vectors(t, top, exact, f)
             )
-            assert got == Counter((n, z, 1) for n, z in sized if f.passes(parts[z])), f
+            assert got == Counter((n, parts, 1) for n, parts in sized if f.passes(parts)), f
         got = Counter(
-            (n, tuple(z), m) for n, z, m in _abacus.restricted_vectors(t, 2, top, exact)
+            (n, _abacus.core_parts(z, t), m) for n, z, m in _abacus.core_vectors(t, 2, top, exact)
         )
-        assert got == Counter((n, z, 1) for n, z in sized if 1 not in parts[z])
+        assert got == Counter((n, parts, 1) for n, parts in sized if 1 not in parts)
 
 
 def test_restricted_4cores_are_thm16s_family():
@@ -280,6 +283,29 @@ def test_conjugate_charge_vector_is_the_conjugate_core(t):
         conj = _partition_from_vector(tuple(-v for v in reversed(x)), t)
         assert conj == Partition(parts).conjugate().parts, (t, parts)
         assert Counter(naive_hooks(conj)) == Counter(naive_hooks(parts)), (t, parts)
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_paired_weights_core_by_core(t):
+    # paired yields weight 2 for exactly one core of each pair of conjugate
+    # cores with x_0 + x_{t-1} != 0 and skips the other.  A core with
+    # x_0 + x_{t-1} = 0 has weight 1, and so has its conjugate, the same
+    # core when it is self-conjugate.  The cores, their conjugates and
+    # their charge vectors come from the walker and the conftest beads.
+    weights = Counter()
+    for n, z, w in _abacus.core_vectors(t, 1, 40, False, paired=True):
+        parts = _abacus.core_parts(z, t)
+        assert sum(parts) == n
+        weights[parts] += w
+    cores = {parts for _, parts in walk_t_cores(t, 40, False)}
+    assert set(weights) <= cores
+    for parts in cores:
+        conj = Partition(parts).conjugate().parts
+        x = charge_vector_of(parts, t)
+        if conj == parts or x[0] + x[-1] == 0:
+            assert weights[parts] == weights[conj] == 1, (t, parts)
+        else:
+            assert sorted((weights[parts], weights[conj])) == [0, 2], (t, parts)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from conftest import (
     naive_hooks,
     naive_is_t_core,
     naive_partitions,
+    vector_of_positions,
     walk_t_cores,
 )
 from test_generate import NARROWED
@@ -201,7 +202,7 @@ FILTERS = [
 
 @pytest.mark.parametrize("t,n_max", [(t, 60) for t in range(2, 8)] + [(50, 22)])
 def test_engine_matches_walker_with_diagram_hooks(t, n_max):
-    # The package counts hooks on charge vectors, as the bead oracle of
+    # The package counts hooks on the abacus beads, as the bead oracle of
     # conftest does, so the reference here is the other route: the
     # part-by-part walker of conftest with hooks counted box by box on the
     # diagram.  For t = 50 every partition of n <= 22 is a 50-core.
@@ -235,8 +236,9 @@ def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch)
 
     monkeypatch.setattr(_abacus, "hook_table", counted)
     tables, core_counts = hook_count_table(5, 120, ks=(1, 3))
-    every = [(n, list(z)) for n, z, _ in _abacus.charge_vectors(5, 120, False)]
-    assert len(seen) == sum(1 for _, z in every if z[0] // 5 + z[4] // 5 >= 0)
+    every = [(n, list(z)) for n, z, _ in _abacus.core_vectors(5, 1, 120, False)]
+    x = [charge_vector_of(_abacus.core_parts(z, 5), 5) for _, z in every]
+    assert len(seen) == sum(1 for v in x if v[0] + v[4] >= 0)
     want, want_counts = real(((n, z, 1) for n, z in every), 5, (1, 3))
     assert core_counts == [want_counts[n] for n in range(121)]
     assert tables == [want.get(n, Counter()) for n in range(121)]
@@ -265,8 +267,8 @@ def _one_minus_last(x):
 @pytest.mark.parametrize("t,n_max", [(3, 600), (4, 300), (5, 120), (6, 60), (7, 40)])
 def test_one_hooks_minus_last_hooks_closed_form(t, n_max):
     # per core, so a_{t,1}(n) >= a_{t,t-1}(n) for every n
-    for n, z, _ in _abacus.charge_vectors(t, n_max, False):
-        d = _one_minus_last([(zc - c) // t for c, zc in enumerate(z)])
+    for n, z, _ in _abacus.core_vectors(t, 1, n_max, False):
+        d = _one_minus_last(vector_of_positions(z, t))
         tables, _ = _abacus.hook_table([(n, z, 1)], t, (1, t - 1))
         assert tables[n][1] - tables[n][t - 1] == d, (t, z)
         assert 0 <= d <= t - 2

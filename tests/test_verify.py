@@ -244,15 +244,15 @@ def test_checks_name_the_largest_closed_form_step():
 
 def test_thm16_sweeps_its_table_once(monkeypatch):
     calls = []
-    real = _abacus.restricted_vectors
+    real = _abacus.core_vectors
 
-    def counted(t, m, n_max, exact):
-        calls.append((t, n_max, exact))
-        return real(t, m, n_max, exact)
+    def counted(t, m, n_max, exact, paired=False):
+        calls.append((t, m, n_max, exact))
+        return real(t, m, n_max, exact, paired)
 
-    monkeypatch.setattr(_abacus, "restricted_vectors", counted)
+    monkeypatch.setattr(_abacus, "core_vectors", counted)
     assert run_check("thm16", 300).holds
-    assert calls == [(4, 300, False)]
+    assert calls == [(4, 3, 300, False)]
 
 
 @pytest.mark.parametrize("name", ["thm16", "thm18"])
@@ -266,13 +266,13 @@ def test_restricted_checks_walk_only_their_cores(name):
 
 def test_thm19_sweeps_each_t_once(monkeypatch):
     calls = []
-    real = _abacus.charge_vectors
+    real = _abacus.core_vectors
 
-    def counted(t, n_max, exact, **opts):
+    def counted(t, m, n_max, exact, paired=False):
         calls.append((t, n_max, exact))
-        return real(t, n_max, exact, **opts)
+        return real(t, m, n_max, exact, paired)
 
-    monkeypatch.setattr(_abacus, "charge_vectors", counted)
+    monkeypatch.setattr(_abacus, "core_vectors", counted)
     assert run_check("thm19", 300).holds
     assert calls == [(2, 300, False), (4, 300, False)]
 
@@ -393,7 +393,7 @@ def test_bead_vector_oracle_agrees_with_pruned_enumeration(t):
 def _walker_totals(n, t, ks):
     """(number of t-cores of n, total k-hooks for each k) from the
     part-by-part walker with hooks counted box by box on the diagram: a
-    route that shares no step with the package's charge-vector counts."""
+    route that shares no step with the package's abacus counts."""
     hooks = [naive_hooks(parts) for parts in walker_cores_of(n, t)]
     return len(hooks), tuple(sum(h.count(k) for h in hooks) for k in ks)
 
