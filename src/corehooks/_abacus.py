@@ -18,8 +18,10 @@ hooks of length k, for k divisible by t none.  That count, the parts and
 the gaps between empty positions stay the same when every position moves
 by the same amount and the runner labels turn with it, so every consumer
 takes z' as it is; the charge vector x with sum 0 of the same core has
-z_c = c + t*x_c = z'_{(c+L) mod t} - L.  A core costs O(t) per hook
-length, where its diagram costs O(n).
+z_c = c + t*x_c = z'_{(c+L) mod t} - L.  The cores of one prefix of the
+walk below differ only in the last runner, and only two of the t terms
+read it, so such a run costs O(t) per hook length and each of its cores
+O(1), where a diagram costs O(n).
 
 Sizes are doubled and centred: runner c with x beads costs
 w_c(x) = t*x^2 + g_c*x, g_c = 2c - t + 1, and 2n = sum(w_c(x'_c)) - L^2.
@@ -42,8 +44,9 @@ searched: with s and w the sum and cost of runners m+1..t-1,
     2n = (t-1)x^2 + (2m - t + 1 - 2s)x + w - s^2,   x = x'_m,
 
 a quadratic whose root interval (for one exact n, its integer roots)
-gives the cores of the prefix.  So the 4-cores with no parts 1, 2 are N^1:
-(3L, ..., 6, 3) at n = 3L(L+1)/2, thm16's form.
+gives the cores of the prefix, yielded together as one run.  So the
+4-cores with no parts 1, 2 are N^1: (3L, ..., 6, 3) at n = 3L(L+1)/2,
+thm16's form.
 
 Conjugation maps x to (-x_{t-1}, ..., -x_0), another core of the same
 size with the same hooks, so a total over all cores needs one core of
@@ -71,20 +74,22 @@ if TYPE_CHECKING:
     from .generate import PartFilter
 
 
-def core_vectors(
+def core_runs(
     t: int, m: int, n_max: int, exact: bool, paired: bool = False
-) -> Iterator[tuple[int, list[int], int]]:
-    """Yield (n, z', w) for the t-cores with no part below m >= 1 of size
-    n <= n_max, or n == n_max when exact, in no particular order.  z' is
-    one list, rewritten in place between yields, and w is the number of
-    cores it stands for: 1, unless paired (which needs m = 1) yields one
-    core of each conjugate pair, weighted.
+) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
+    """Yield the t-cores with no part below m >= 1 of size n <= n_max, or
+    n == n_max when exact, one prefix at a time and in no particular
+    order: runs (z', c, cores) with z' set on every runner but c and
+    cores a non-empty list of (n, z'_c, w), w the number of cores each
+    stands for: 1, unless paired (which needs m = 1) yields one core of
+    each conjugate pair, weighted.  c is m, or t - 1 for the empty core
+    alone when m >= t.  z' is one list, rewritten in place between yields.
     """
     budget = 2 * n_max
     z = list(range(t))  # z'_c = c + t*x'_c
     if m >= t:  # the empty core alone
         if not exact or n_max == 0:
-            yield 0, z, 1
+            yield z, t - 1, [(0, t - 1, 1)]
         return
     t1 = t - 1
     q = 2 * t1
@@ -154,18 +159,35 @@ def core_vectors(
             xs = {v // q for v in (root - b, -root - b) if v >= 0 and v % q == 0}
         else:
             xs = range(max(0, -((root + b) // q)), (root - b) // q + 1)
-        for x in xs:
-            z[m] = m + t * x
-            n = ((t1 * x + b) * x + c0) >> 1
-            if paired:
+        if not xs:
+            continue
+        if not paired:
+            cores = [(((t1 * x + b) * x + c0) >> 1, m + t * x, 1) for x in xs]
+        else:
+            cores = []
+            for x in xs:
+                zm = z[m] = m + t * x
                 L = s + x
                 r = L % t
                 v = z[r] + z[r - 1] - 2 * L - t1  # t * (x_0 + x_{t-1})
-                if v < 0:
-                    continue
-                yield n, z, 2 if v else 1
-            else:
-                yield n, z, 1
+                if v >= 0:
+                    cores.append((((t1 * x + b) * x + c0) >> 1, zm, 2 if v else 1))
+        if cores:
+            yield z, m, cores
+
+
+def core_vectors(
+    t: int, m: int, n_max: int, exact: bool, paired: bool = False
+) -> Iterator[tuple[int, list[int], int]]:
+    """The cores of core_runs one at a time, as (n, z', w)."""
+    return _each_core(core_runs(t, m, n_max, exact, paired))
+
+
+def _each_core(runs) -> Iterator[tuple[int, list[int], int]]:
+    for z, c, cores in runs:
+        for n, zc, w in cores:
+            z[c] = zc
+            yield n, z, w
 
 
 def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
@@ -186,19 +208,28 @@ def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
 
 
 def hook_table(
-    cores: Iterable[tuple[int, list[int], int]],
+    runs: Iterable[tuple[list[int], int, list[tuple[int, int, int]]]],
     t: int,
     ks: Sequence[int] | None,
 ) -> tuple[dict[int, Counter], Counter]:
-    """Hook counts of the given cores (n, z, w), each standing for w cores
-    with its hooks, by size: (tables, core_counts) with tables[n] mapping
-    hook length to its total over the cores of size n.  With ks None every
-    hook length is counted, otherwise only the ks.  Only sizes with a core
-    appear, and only positive counts are stored."""
+    """Hook counts of the cores of runs (z, c, cores) as core_runs yields
+    them, each core (n, z_c, w) standing for w cores, by size: (tables,
+    core_counts) with tables[n] mapping hook length to its total over the
+    cores of size n.  With ks None every hook length is counted, otherwise
+    only the ks.  Only sizes with a core appear, and only positive counts
+    are stored.
+
+    For a listed k, r = k mod t, only the terms of runners c and c + r
+    read z_c, so the other t - 2 are summed once per run and each core
+    adds its two: O(t) per run and O(1) per core for each k.  Every z'_b
+    of a run is at least b, as core_runs yields it, so a runner with no
+    bead (z'_b = b) starts no term: z'_{b-r} >= b - r, or b - r + t when
+    b < r, and k >= r.  Only the runners with a bead are summed.
+    """
     core_counts: Counter = Counter()
     if ks is None:
         tables: dict[int, Counter] = {}
-        for n, z, w in cores:
+        for n, z, w in _each_core(runs):
             core_counts[n] += w
             tally = tables.get(n)
             if tally is None:
@@ -224,30 +255,44 @@ def hook_table(
         groups.setdefault(k % t, []).append((k, slot))
     plan = list(groups.items())
     sums: dict[int, list[int]] = {}
-    for n, z, w in cores:
-        core_counts[n] += w
-        row = sums.get(n)
-        if row is None:
-            row = sums[n] = [0] * len(wanted)
+    for z, c, cores in runs:
+        z[c] = c  # runner c reads as empty: each core adds its own terms
+        full = [b for b in range(t) if z[b] != b]  # the runners with a bead
+        # (slot, the fixed sum, z_{c-r} + k, z_{c+r} - k) for each k: a
+        # core adds z_c - z_{c-r} - k and z_{c+r} - z_c - k where positive
+        terms = []
         for r, slots in plan:
-            diffs = list(map(sub, z, z[-r:] + z[:-r]))  # z_c - z_{(c-r) mod t}
+            cr = (c + r) % t
             for k, slot in slots:
-                total = 0
-                for v in diffs:
-                    if v > k:
-                        total += v - k
+                fixed = 0
+                for b in full:
+                    if b != cr:
+                        v = z[b] - z[b - r] - k
+                        if v > 0:
+                            fixed += v
+                terms.append((slot, fixed, z[c - r] + k, z[cr] - k))
+        for n, zc, w in cores:
+            row = sums.get(n)
+            if row is None:
+                row = sums[n] = [0] * (len(wanted) + 1)
+            row[-1] += w  # the core count
+            for slot, total, lo, hi in terms:
+                if zc > lo:
+                    total += zc - lo
+                if hi > zc:
+                    total += hi - zc
                 row[slot] += total * w
-    tables = {
-        n: Counter({k: v // t for k, v in zip(wanted, row) if v})
-        for n, row in sums.items()
-    }
+    tables = {}
+    for n, row in sums.items():
+        tables[n] = Counter({k: v // t for k, v in zip(wanted, row) if v})
+        core_counts[n] = row[-1]
     return tables, core_counts
 
 
-def kept_vectors(
+def kept_runs(
     t: int, n_max: int, exact: bool, f: PartFilter, paired: bool = False
-) -> Iterator[tuple[int, list[int], int]]:
-    """core_vectors for the cores whose parts pass the filter.  With m the
+) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
+    """core_runs for the cores whose parts pass the filter.  With m the
     least value it allows, the walk builds the cores with no part below m,
     and part_test decides the forbidden values above m.  When the filter
     forbids nothing, paired asks for one core of each conjugate pair with
@@ -257,16 +302,31 @@ def kept_vectors(
     while m in f.excluded:
         m += 1
     keep = part_test(f, m, t, n_max)
-    vectors = core_vectors(t, m, n_max, exact, paired and m == 1 and keep is None)
+    runs = core_runs(t, m, n_max, exact, paired and m == 1 and keep is None)
     if keep is None:
-        return vectors
-    return (core for core in vectors if keep(core[1]))
+        yield from runs
+        return
+    for z, c, cores in runs:
+        kept = []
+        for core in cores:
+            z[c] = core[1]
+            if keep(z):
+                kept.append(core)
+        if kept:
+            yield z, c, kept
+
+
+def kept_vectors(
+    t: int, n_max: int, exact: bool, f: PartFilter, paired: bool = False
+) -> Iterator[tuple[int, list[int], int]]:
+    """The cores of kept_runs one at a time, as (n, z', w)."""
+    return _each_core(kept_runs(t, n_max, exact, f, paired))
 
 
 def part_test(f: PartFilter, m: int, t: int, n_max: int):
     """A test on z that passes the cores with no part the filter forbids
     above m, the least value it allows, or None when it forbids no value
-    from m to n_max.  The values below m are left to core_vectors.
+    from m to n_max.  The values below m are left to core_runs.
 
     With g_1 < g_2 < ... the empty positions of the abacus, the beads
     between g_v and g_{v+1} are the parts equal to v, so v is a part

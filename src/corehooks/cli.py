@@ -39,11 +39,23 @@ class UsageError(Exception):
     pass
 
 
+def _decimal(text: str) -> int:
+    """The integer written in text: ASCII decimal digits, with an optional
+    leading minus and spaces around.  int() alone would also take "1_0",
+    "+3" and non-ASCII digits.  Every integer option is read here: argparse
+    names the option in its message, _parse_int in its own."""
+    s = text.strip()
+    digits = s[1:] if s.startswith("-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(s)
+
+
 def _parse_int(text: str, name: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {text!r}") from None
+        return _decimal(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{name} {exc}") from None
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -158,24 +170,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="stream partitions as JSON lines")
     p.set_defaults(run=_cmd_enum)
     p.add_argument("--n", required=True)
-    p.add_argument("--t", type=int, default=0, help="restrict to t-cores (0: all partitions)")
+    p.add_argument("--t", type=_decimal, default=0,
+                   help="restrict to t-cores (0: all partitions)")
     p.add_argument("--exclude", help="comma separated part values to exclude")
-    p.add_argument("--min-part", type=int, default=1)
+    p.add_argument("--min-part", type=_decimal, default=1)
     common(p, ("jsonl",))
 
     p = sub.add_parser("count", help="total k-hooks over the t-cores of n")
     p.set_defaults(run=_cmd_count)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_decimal, required=True)
     p.add_argument("--k", required=True, help="hook length, or comma separated list")
     p.add_argument("--n", required=True, help="single n or range lo..hi")
     p.add_argument("--exclude")
-    p.add_argument("--min-part", type=int, default=1)
+    p.add_argument("--min-part", type=_decimal, default=1)
     common(p)
 
     p = sub.add_parser("series", help="t-core counting series coefficients")
     p.set_defaults(run=_cmd_series)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--order", type=int, default=200)
+    p.add_argument("--t", type=_decimal, required=True)
+    p.add_argument("--order", type=_decimal, default=200)
     common(p)
 
     p = sub.add_parser(
@@ -188,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(run=_cmd_verify)
     p.add_argument("--check", required=True, choices=sorted(CHECKS))
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_decimal, required=True)
     p.add_argument("--seed-dump", action="store_true",
                    help="on failure, dump the enumerated witness sets")
     common(p, ("text", "json"))
@@ -202,19 +215,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out when given.",
     )
     p.set_defaults(run=_cmd_conj_scan)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--t", type=int, default=5)
+    p.add_argument("--n-max", type=_decimal, required=True)
+    p.add_argument("--t", type=_decimal, default=5)
     p.add_argument("--ks", default="1,3,6")
     p.add_argument("--relations", default=">=,>=",
                    help="comma separated relations between adjacent ks (>=, <=, =)")
     p.add_argument("--exclude")
-    p.add_argument("--min-part", type=int, default=1)
+    p.add_argument("--min-part", type=_decimal, default=1)
     p.add_argument("--seed-dump", action="store_true")
     common(p, ("text", "csv", "json"))
 
     p = sub.add_parser("quadform", help="all-odd ternary representations per h")
     p.set_defaults(run=_cmd_quadform)
-    p.add_argument("--h-max", type=int, required=True)
+    p.add_argument("--h-max", type=_decimal, required=True)
     common(p, ("json", "csv"))
 
     return parser

@@ -5,10 +5,12 @@ partitions of n, optionally restricted to partitions avoiding a set of
 part values.  Totals come from the one walk of _abacus over the cores
 with no part below the least allowed value m, the points of N^(t-m): a
 range table is one walk over every core of size at most n_max, a point
-query one walk over the cores of size n, and each core costs O(t) per
-hook length.  With no filter the hooks of only one core of each
-conjugate pair are counted, for both, since conjugation keeps the size
-and the hooks.  Every count is an exact integer.
+query one walk over the cores of size n.  The walk yields the cores of
+one prefix together, differing only in the last runner, so for each hook
+length a prefix costs O(t) and each of its cores O(1).  With no filter
+the hooks of only one core of each conjugate pair are counted, for both,
+since conjugation keeps the size and the hooks.  Every count is an exact
+integer.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ def _hook_counts_at(n: int, t: int, ks: Sequence[int], f: PartFilter) -> Counter
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-    cores = _abacus.kept_vectors(te, n, True, f, paired=True)
-    tables, _ = _abacus.hook_table(cores, te, ks)
+    runs = _abacus.kept_runs(te, n, True, f, paired=True)
+    tables, _ = _abacus.hook_table(runs, te, ks)
     return tables.get(n, Counter())
 
 
@@ -88,7 +90,7 @@ def hook_count_table(
         if any(k < 1 for k in ks):
             raise ValueError(f"hook lengths must be positive, got {ks}")
     tables, core_counts = _abacus.hook_table(
-        _abacus.kept_vectors(te, n_max, False, f, paired=True), te, ks
+        _abacus.kept_runs(te, n_max, False, f, paired=True), te, ks
     )
     return (
         [tables.get(n) or Counter() for n in range(n_max + 1)],

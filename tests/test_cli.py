@@ -100,6 +100,14 @@ ERROR_CONTRACT = [
     ("conj-scan --n-max 5 --exclude 0", "excluded part values must be positive"),
     ("conj-scan --n-max 5 --min-part 0", "min-part must be positive, got 0"),
     ("enum --n 5 --exclude 0", "excluded part values must be positive"),
+    # integers are ASCII decimal digits only; int() alone takes each of these
+    ("count --t 3 --k 1_0 --n 3", "k must be an integer, got '1_0'"),
+    ("count --t 3 --k 1 --n ３", "n must be an integer, got '３'"),
+    ("count --t 3 --k 1 --n 0_3", "n must be an integer, got '0_3'"),
+    ("count --t 3 --k 1 --n 1_0..1_2", "n range start must be an integer, got '1_0'"),
+    ("count --t 3 --k 1 --n 10..1_2", "n range end must be an integer, got '1_2'"),
+    ("enum --n 5 --exclude ３", "exclude must be an integer, got '３'"),
+    ("conj-scan --n-max 5 --ks 1,0_3", "ks must be an integer, got '0_3'"),
 ]
 
 
@@ -107,6 +115,36 @@ ERROR_CONTRACT = [
 def test_usage_error_contract(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"corehooks: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,option,value",
+    [
+        ("verify --check thm14 --n-max 1_000", "--n-max", "1_000"),
+        ("count --t ５ --k 1 --n ４", "--t", "５"),
+        ("count --t 3 --k 1 --n 4 --min-part 0_3", "--min-part", "0_3"),
+        ("enum --n 5 --t ３", "--t", "３"),
+        ("series --t 3 --order 1_0", "--order", "1_0"),
+        ("conj-scan --n-max 1_0", "--n-max", "1_0"),
+        ("conj-scan --n-max 10 --t ５", "--t", "５"),
+        ("quadform --h-max +30", "--h-max", "+30"),
+    ],
+)
+def test_integer_options_take_ascii_decimal_only(capsys, argv, option, value):
+    # argparse reads these options with the parser of _parse_int, and its
+    # message names the option
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    sub = argv.split()[0]
+    assert err.endswith(
+        f"corehooks {sub}: error: argument {option}: must be an integer, got {value!r}\n"
+    )
+
+
+def test_integers_may_have_leading_zeros(capsys):
+    assert run_cli(capsys, "count", "--t", "05", "--k", "01,3", "--n", "03..004") == run_cli(
+        capsys, "count", "--t", "5", "--k", "1,3", "--n", "3..4"
+    )
 
 
 def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
@@ -152,13 +190,13 @@ def test_count_with_t_above_n_matches_walker(capsys, t):
 
 def test_count_makes_one_pass_per_n(capsys, monkeypatch):
     calls = []
-    real = _abacus.core_vectors
+    real = _abacus.core_runs
 
     def counted(t, m, n_max, exact, paired=False):
         calls.append((m, n_max, exact))
         return real(t, m, n_max, exact, paired)
 
-    monkeypatch.setattr(_abacus, "core_vectors", counted)
+    monkeypatch.setattr(_abacus, "core_runs", counted)
     code, _, _ = run_cli(capsys, "count", "--t", "60", "--k", "2,7,30", "--n", "27..29")
     assert code == 0
     assert calls == [(1, 27, True), (1, 28, True), (1, 29, True)]
@@ -168,13 +206,13 @@ def test_restricted_count_makes_one_walk_per_n(capsys, monkeypatch):
     # a filter with no part below 3 walks N^(t-3) once per n, never the
     # lattice of every core
     calls = []
-    real = _abacus.core_vectors
+    real = _abacus.core_runs
 
     def counted(t, m, n_max, exact, paired=False):
         calls.append((t, m, n_max, exact))
         return real(t, m, n_max, exact, paired)
 
-    monkeypatch.setattr(_abacus, "core_vectors", counted)
+    monkeypatch.setattr(_abacus, "core_runs", counted)
     code, _, _ = run_cli(
         capsys, "count", "--t", "5", "--k", "1,3", "--n", "27..29", "--exclude", "1,2"
     )

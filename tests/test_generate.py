@@ -326,10 +326,16 @@ def test_core_parts_from_random_charge_vector(drawn):
     n = sum(parts)
     assert 2 * n == t * sum(x * x for x in xs) + 2 * sum(c * x for c, x in enumerate(xs))
     hooks = Counter(naive_hooks(parts))
-    tables, counts = _abacus.hook_table([(n, z, 1)], t, range(1, 13))
-    assert counts == Counter({n: 1})
-    assert {k: tables[n][k] for k in range(1, 13)} == {k: hooks[k] for k in range(1, 13)}
-    tables, _ = _abacus.hook_table([(n, z, 1)], t, None)
+    # hook_table takes positions with every runner at level >= 0, as the
+    # walk gives them: moving every position by the same multiple of t
+    # keeps the core.  Each runner c in turn carries the core as a run of one.
+    lifted = [zc - t * min(xs) for zc in z]
+    for c in range(t):
+        run = [(list(lifted), c, [(n, lifted[c], 1)])]
+        tables, counts = _abacus.hook_table(run, t, range(1, 13))
+        assert counts == Counter({n: 1})
+        assert {k: tables[n][k] for k in range(1, 13)} == {k: hooks[k] for k in range(1, 13)}
+    tables, _ = _abacus.hook_table([(z, 0, [(n, z[0], 1)])], t, None)
     assert tables[n] == hooks
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -8,6 +9,8 @@ from corehooks.hookstats import (
     FAILS,
     HOLDS,
     NOT_APPLICABLE,
+    _engine_t,
+    _hook_counts_at,
     bias_table,
     cross_core_bias_table,
     hook_count_table,
@@ -225,21 +228,78 @@ def test_engine_matches_walker_with_diagram_hooks(t, n_max):
                 assert total_hook_count(n, t, k, f) == want[n][k], (f, n, k)
 
 
+@lru_cache(maxsize=None)
+def _diagram_hooks(parts):
+    return Counter(naive_hooks(parts))
+
+
+@pytest.mark.parametrize(
+    "t,n_max",
+    [(2, 120), (3, 90), (4, 60), (5, 50), (6, 40), (7, 36), (8, 32), (9, 30)]
+    + [(20, 30), (31, 30), (40, 30)],
+)
+def test_run_tally_matches_diagram_hooks(t, n_max):
+    # hook_table sums the terms of a run's fixed runners once and adds the
+    # two terms of the last runner per core.  Against the walker's cores
+    # with hooks counted on the diagram: range and exact n, paired (no
+    # filter) and unpaired, ks with multiples of t and k > n_max.
+    ks = sorted({1, 2, t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1, 3 * t, n_max + 5} - {0})
+    cores = list(walk_t_cores(t, n_max, False))
+    filters = [
+        PartFilter(),
+        PartFilter(excluded={1}),
+        PartFilter(excluded={2}),
+        PartFilter(excluded={1, 2}),
+        PartFilter(excluded={1, 4, 6}),
+        PartFilter(min_part=3),
+        PartFilter(min_part=t + 1),
+    ]
+    te = _engine_t(t, n_max)
+    for f in filters:
+        want = [Counter() for _ in range(n_max + 1)]
+        counts = [0] * (n_max + 1)
+        for n, parts in cores:
+            if f.passes(parts):
+                counts[n] += 1
+                hooks = _diagram_hooks(parts)
+                want[n].update({k: hooks[k] for k in ks if hooks[k]})
+        assert hook_count_table(t, n_max, f, ks) == (want, counts), f
+        sizes = sorted({0, 1, 2, n_max // 2, n_max - 1, n_max})
+        for n in sizes:
+            assert _hook_counts_at(n, t, ks, f) == want[n], (f, n)
+        if f != PartFilter():
+            continue  # a filter that forbids a value is walked unpaired
+        tables, core_counts = _abacus.hook_table(
+            _abacus.kept_runs(te, n_max, False, f, paired=False), te, ks
+        )
+        assert [tables.get(n, Counter()) for n in range(n_max + 1)] == want
+        assert [core_counts[n] for n in range(n_max + 1)] == counts
+        for n in sizes:
+            tn = _engine_t(t, n)
+            tables, _ = _abacus.hook_table(_abacus.kept_runs(tn, n, True, f), tn, ks)
+            assert tables.get(n, Counter()) == want[n], n
+
+
 def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch):
     # Hooks are evaluated only for the cores with x_0 + x_4 >= 0; the
     # weights restore the totals of every core.
     seen = []
     real = _abacus.hook_table
 
-    def counted(cores, t, ks):
-        return real((seen.append(core[0]) or core for core in cores), t, ks)
+    def counted(runs, t, ks):
+        def watched():
+            for run in runs:
+                seen.extend(run[2])  # the run's cores
+                yield run
+
+        return real(watched(), t, ks)
 
     monkeypatch.setattr(_abacus, "hook_table", counted)
     tables, core_counts = hook_count_table(5, 120, ks=(1, 3))
     every = [(n, list(z)) for n, z, _ in _abacus.core_vectors(5, 1, 120, False)]
     x = [charge_vector_of(_abacus.core_parts(z, 5), 5) for _, z in every]
     assert len(seen) == sum(1 for v in x if v[0] + v[4] >= 0)
-    want, want_counts = real(((n, z, 1) for n, z in every), 5, (1, 3))
+    want, want_counts = real(((z, 1, [(n, z[1], 1)]) for n, z in every), 5, (1, 3))
     assert core_counts == [want_counts[n] for n in range(121)]
     assert tables == [want.get(n, Counter()) for n in range(121)]
 
@@ -269,7 +329,7 @@ def test_one_hooks_minus_last_hooks_closed_form(t, n_max):
     # per core, so a_{t,1}(n) >= a_{t,t-1}(n) for every n
     for n, z, _ in _abacus.core_vectors(t, 1, n_max, False):
         d = _one_minus_last(vector_of_positions(z, t))
-        tables, _ = _abacus.hook_table([(n, z, 1)], t, (1, t - 1))
+        tables, _ = _abacus.hook_table([(z, 1, [(n, z[1], 1)])], t, (1, t - 1))
         assert tables[n][1] - tables[n][t - 1] == d, (t, z)
         assert 0 <= d <= t - 2
 

@@ -244,13 +244,13 @@ def test_checks_name_the_largest_closed_form_step():
 
 def test_thm16_sweeps_its_table_once(monkeypatch):
     calls = []
-    real = _abacus.core_vectors
+    real = _abacus.core_runs
 
     def counted(t, m, n_max, exact, paired=False):
         calls.append((t, m, n_max, exact))
         return real(t, m, n_max, exact, paired)
 
-    monkeypatch.setattr(_abacus, "core_vectors", counted)
+    monkeypatch.setattr(_abacus, "core_runs", counted)
     assert run_check("thm16", 300).holds
     assert calls == [(4, 3, 300, False)]
 
@@ -266,13 +266,13 @@ def test_restricted_checks_walk_only_their_cores(name):
 
 def test_thm19_sweeps_each_t_once(monkeypatch):
     calls = []
-    real = _abacus.core_vectors
+    real = _abacus.core_runs
 
     def counted(t, m, n_max, exact, paired=False):
         calls.append((t, n_max, exact))
         return real(t, m, n_max, exact, paired)
 
-    monkeypatch.setattr(_abacus, "core_vectors", counted)
+    monkeypatch.setattr(_abacus, "core_runs", counted)
     assert run_check("thm19", 300).holds
     assert calls == [(2, 300, False), (4, 300, False)]
 
