@@ -55,9 +55,9 @@ each conjugate pair, weighted.  On z', with r = L mod t,
     x_0 + x_{t-1} = (z'_r + z'_{r-1} - 2L - (t-1)) / t,
 
 and a core with a positive sum stands for itself and its conjugate, one
-with sum 0 for itself alone, and one with a negative sum is skipped.  Hook
-tables and core counts with no filter use the pairing; ordered streams
-see every core.
+with sum 0 for itself alone, and one with a negative sum is skipped.
+kept_runs pairs the walk when the filter forbids no value up to n_max, so
+that every conjugate passes too, and every reader takes the weight.
 
 Everything here is iterative, and the callers pass t no larger than
 n + 1, so the work is bounded by n and never by t.
@@ -176,13 +176,6 @@ def core_runs(
             yield z, m, cores
 
 
-def core_vectors(
-    t: int, m: int, n_max: int, exact: bool, paired: bool = False
-) -> Iterator[tuple[int, list[int], int]]:
-    """The cores of core_runs one at a time, as (n, z', w)."""
-    return _each_core(core_runs(t, m, n_max, exact, paired))
-
-
 def _each_core(runs) -> Iterator[tuple[int, list[int], int]]:
     for z, c, cores in runs:
         for n, zc, w in cores:
@@ -290,19 +283,19 @@ def hook_table(
 
 
 def kept_runs(
-    t: int, n_max: int, exact: bool, f: PartFilter, paired: bool = False
+    t: int, n_max: int, exact: bool, f: PartFilter
 ) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
     """core_runs for the cores whose parts pass the filter.  With m the
     least value it allows, the walk builds the cores with no part below m,
     and part_test decides the forbidden values above m.  When the filter
-    forbids nothing, paired asks for one core of each conjugate pair with
-    its weight (conjugation keeps the size and the hooks, not the parts).
+    forbids no value up to n_max, the conjugate of every core passes too,
+    so the walk yields one core of each conjugate pair with its weight.
     """
     m = f.min_part
     while m in f.excluded:
         m += 1
     keep = part_test(f, m, t, n_max)
-    runs = core_runs(t, m, n_max, exact, paired and m == 1 and keep is None)
+    runs = core_runs(t, m, n_max, exact, m == 1 and keep is None)
     if keep is None:
         yield from runs
         return
@@ -317,10 +310,10 @@ def kept_runs(
 
 
 def kept_vectors(
-    t: int, n_max: int, exact: bool, f: PartFilter, paired: bool = False
+    t: int, n_max: int, exact: bool, f: PartFilter
 ) -> Iterator[tuple[int, list[int], int]]:
     """The cores of kept_runs one at a time, as (n, z', w)."""
-    return _each_core(kept_runs(t, n_max, exact, f, paired))
+    return _each_core(kept_runs(t, n_max, exact, f))
 
 
 def part_test(f: PartFilter, m: int, t: int, n_max: int):

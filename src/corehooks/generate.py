@@ -7,9 +7,10 @@ reverse-lexicographic order on the part sequences, largest parts first:
 The t-cores come from the walk of _abacus, the engine that also counts
 their hooks: the cores with no part below m, the least allowed value, are
 the points of N^(t-m), one bead count per runner; a core with a forbidden
-part above m is dropped on its beads alone, and the parts of the rest are
-read off the beads in O(n) each and sorted.  For t > n every partition
-of n is a t-core, so there the filtered partition stream is used.
+part above m is dropped on its beads alone.  The parts of each core, and
+of its conjugate when the walk lets it stand for both, are read off the
+beads in O(n) and sorted.  For t > n every partition of n is a t-core,
+so there the filtered partition stream is used.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from collections import defaultdict, namedtuple
 from functools import partial
 from itertools import filterfalse
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import _abacus
-from .partition import Partition
+from .partition import Partition, conjugate_parts
 
 
 def _integer(value, what: str) -> int:
@@ -203,62 +204,68 @@ def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]
         yield "".join(lines)
 
 
-def _check_core_args(n: int, t: int) -> None:
+def _check_core_args(n: int, t: int) -> tuple[int, int]:
+    """(n, t) read as ints and checked: t >= 2, n >= 0."""
+    t = _integer(t, "t must be an integer")
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
+    n = _integer(n, "n must be an integer")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    return n, t
 
 
-def _in_order(n: int, t: int, zs: Iterable[Sequence[int]]) -> Iterator[Partition]:
-    """The cores of size n with first empty positions zs, reverse-lex."""
-    found = [_abacus.core_parts(z, t) for z in zs]
-    found.sort(reverse=True)
-    return (Partition._unchecked(parts, n) for parts in found)
+def _ordered(
+    n_max: int, t: int, f: PartFilter, exact: bool
+) -> Iterator[tuple[int, Partition]]:
+    """(n, partition) for the t-cores of size n_max passing the filter, or
+    of every size up to it unless exact, n ascending, each n reverse-lex.
+    One walk keeps z' and the weight of each walked core, t + 1 ints, in
+    an array per size; the parts of a size are built and sorted when it
+    is reached."""
+    n_max, t = _check_core_args(n_max, t)
+    if t > n_max:
+        for n in range(n_max if exact else 0, n_max + 1):
+            for p in partitions_of(n, f):
+                yield n, p
+        return
+    by_size: defaultdict[int, array] = defaultdict(partial(array, "i"))
+    for n, z, w in _abacus.kept_vectors(t, n_max, exact, f):
+        by_size[n].extend([*z, w])
+    for n in sorted(by_size):
+        zs = by_size.pop(n)
+        found = []
+        for i in range(0, len(zs), t + 1):
+            parts = _abacus.core_parts(zs[i : i + t], t)
+            found.append(parts)
+            if zs[i + t] == 2:  # a weight-2 core stands for its conjugate too
+                found.append(conjugate_parts(parts))
+        found.sort(reverse=True)
+        for parts in found:
+            yield n, Partition._unchecked(parts, n)
 
 
 def t_cores_of(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> Iterator[Partition]:
     """The t-core partitions of n passing the filter, each exactly once,
     in the same order as partitions_of restricted to t-cores.  The parts
     of every core of n are built and sorted before the first is yielded."""
-    _check_core_args(n, t)
-    if t > n:
-        yield from partitions_of(n, f)
-        return
-    yield from _in_order(n, t, (z for _, z, _ in _abacus.kept_vectors(t, n, True, f)))
+    return (p for _, p in _ordered(n, t, f, True))
 
 
 def t_cores_up_to(
     n_max: int, t: int, f: PartFilter = EMPTY_FILTER
 ) -> Iterator[tuple[int, Partition]]:
     """(n, partition) for every t-core of every n <= n_max passing the
-    filter, n ascending, each n in the order of t_cores_of.
-
-    One walk over the cores of every size <= n_max keeps the first empty
-    positions of each passing core, t ints in an array per size that has
-    a core, and the parts of one size are built only when that size is
-    reached.
-    """
-    _check_core_args(n_max, t)
-    if t > n_max:
-        for n in range(n_max + 1):
-            for p in partitions_of(n, f):
-                yield n, p
-        return
-    by_size: defaultdict[int, array] = defaultdict(partial(array, "i"))
-    for n, z, _ in _abacus.kept_vectors(t, n_max, False, f):
-        by_size[n].extend(z)
-    for n in sorted(by_size):
-        zs = by_size.pop(n)
-        for p in _in_order(n, t, (zs[i : i + t] for i in range(0, len(zs), t))):
-            yield n, p
+    filter, n ascending, each n in the order of t_cores_of, from one walk
+    over every size <= n_max."""
+    return _ordered(n_max, t, f, False)
 
 
 def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
     """Number of t-core partitions of n passing the filter; only the
     cores of N^(t-m) are walked, m the least allowed part, and with no
     filter one core of each conjugate pair is counted with its weight."""
-    _check_core_args(n, t)
+    n, t = _check_core_args(n, t)
     if t > n:
         return sum(map(f.passes, iter_partition_parts(n)))
-    return sum(m for _, _, m in _abacus.kept_vectors(t, n, True, f, paired=True))
+    return sum(w for _, _, w in _abacus.kept_vectors(t, n, True, f))

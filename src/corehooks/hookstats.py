@@ -7,10 +7,10 @@ with no part below the least allowed value m, the points of N^(t-m): a
 range table is one walk over every core of size at most n_max, a point
 query one walk over the cores of size n.  The walk yields the cores of
 one prefix together, differing only in the last runner, so for each hook
-length a prefix costs O(t) and each of its cores O(1).  With no filter
-the hooks of only one core of each conjugate pair are counted, for both,
-since conjugation keeps the size and the hooks.  Every count is an exact
-integer.
+length a prefix costs O(t) and each of its cores O(1).  When the filter
+forbids no value in range the hooks of only one core of each conjugate
+pair are counted, for both, since conjugation keeps the size and the
+hooks.  Every count is an exact integer.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import eq, ge, le
 from typing import Sequence
 
 from . import _abacus
-from .generate import EMPTY_FILTER, PartFilter, _check_core_args
+from .generate import EMPTY_FILTER, PartFilter, _check_core_args, _integer
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -45,7 +45,6 @@ def _engine_t(t: int, n_max: int) -> int:
     t-core for every t > n_max and its hooks do not depend on t; n_max + 1
     runners (at least 2) then give the same cores and the same counts.
     """
-    _check_core_args(n_max, t)
     return min(t, max(2, n_max + 1))
 
 
@@ -61,11 +60,13 @@ def _hook_counts_at(n: int, t: int, ks: Sequence[int], f: PartFilter) -> Counter
     """Total number of k-hooks for each k in ks over the t-core partitions
     of n that pass the filter, in one walk over the cores of size n.  A k
     with no hooks reads 0."""
+    n, t = _check_core_args(n, t)
     te = _engine_t(t, n)
+    ks = [_integer(k, "k must be an integer") for k in ks]
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-    runs = _abacus.kept_runs(te, n, True, f, paired=True)
+    runs = _abacus.kept_runs(te, n, True, f)
     tables, _ = _abacus.hook_table(runs, te, ks)
     return tables.get(n, Counter())
 
@@ -84,14 +85,13 @@ def hook_count_table(
     core_counts[n] is the number of t-cores of n under the filter.
     Only positive counts are stored.
     """
+    n_max, t = _check_core_args(n_max, t)
     te = _engine_t(t, n_max)
     if ks is not None:
-        ks = list(ks)
+        ks = [_integer(k, "hook lengths must be integers") for k in ks]
         if any(k < 1 for k in ks):
             raise ValueError(f"hook lengths must be positive, got {ks}")
-    tables, core_counts = _abacus.hook_table(
-        _abacus.kept_runs(te, n_max, False, f, paired=True), te, ks
-    )
+    tables, core_counts = _abacus.hook_table(_abacus.kept_runs(te, n_max, False, f), te, ks)
     return (
         [tables.get(n) or Counter() for n in range(n_max + 1)],
         [core_counts[n] for n in range(n_max + 1)],
@@ -142,7 +142,13 @@ def chain_tables(
     distinguished from a checked truth).  Each t is swept once, for the
     union of the ks it is paired with in any chain.
     """
-    chains = [[(int(t), int(k)) for t, k in pairs] for pairs in chains]
+    chains = [
+        [
+            (_integer(t, "t must be an integer"), _integer(k, "k must be an integer"))
+            for t, k in pairs
+        ]
+        for pairs in chains
+    ]
     if not chains or not all(chains):
         raise ValueError("pairs must not be empty")
     relations = list(relations)
@@ -156,6 +162,8 @@ def chain_tables(
         if r not in _RELATIONS:
             raise ValueError(f"unknown relation {r!r}; use >=, <= or =")
     ops = [_RELATIONS[r] for r in relations]
+    n_lo = _integer(n_lo, "n_lo must be an integer")
+    n_hi = _integer(n_hi, "n_hi must be an integer")
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError(f"bad range {n_lo}..{n_hi}")
     ks_of: dict[int, set[int]] = {}

@@ -24,6 +24,7 @@ from operator import add, sub
 from .generate import (
     EMPTY_FILTER,
     PartFilter,
+    _integer,
     iter_partition_parts,
     t_cores_up_to,
 )
@@ -454,6 +455,7 @@ def run_check(name: str, n_max: int) -> CheckResult:
         raise ValueError(
             f"unknown check {name!r}; choose from {sorted(CHECKS)}"
         ) from None
+    n_max = _integer(n_max, "n_max must be an integer")
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     failures, tail, extra = runner(n_max)

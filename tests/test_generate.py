@@ -103,6 +103,22 @@ def test_count_fixtures():
     assert count_t_cores(4, 4) == 1
 
 
+def test_core_arguments_must_be_integers():
+    # a float or a string is rejected by name, never truncated
+    with pytest.raises(ValueError, match="t must be an integer, got 4.5"):
+        count_t_cores(10, 4.5)
+    with pytest.raises(ValueError, match="n must be an integer, got 10.0"):
+        count_t_cores(10.0, 4)
+    with pytest.raises(ValueError, match="t must be an integer, got '4'"):
+        list(t_cores_of(10, "4"))
+    with pytest.raises(ValueError, match="n must be an integer, got '10'"):
+        list(t_cores_of("10", 4))
+    with pytest.raises(ValueError, match="n must be an integer, got 10.5"):
+        list(t_cores_up_to(10.5, 4))
+    with pytest.raises(ValueError, match="t must be an integer, got 3.0"):
+        list(t_cores_up_to(10, 3.0))
+
+
 def test_t_requires_at_least_two():
     with pytest.raises(ValueError):
         list(t_cores_of(4, 1))
@@ -161,11 +177,23 @@ def test_series_oracle_small():
             assert series[n] == count_t_cores(n, t)
 
 
-ORDER_FILTERS = [PartFilter(), C1, C12, PartFilter(excluded=frozenset({2, 5})), PartFilter(min_part=3)]
-ORDER_IDS = ["all", "no1", "no12", "no25", "min3"]
+# with no filter, or one that forbids only 46, above every n of the order
+# tests, the walk pairs conjugate cores and the streams add the conjugates
+ORDER_FILTERS = [
+    PartFilter(),
+    PartFilter(excluded=frozenset({46})),
+    C1,
+    C12,
+    PartFilter(excluded=frozenset({2})),
+    PartFilter(excluded=frozenset({2, 5})),
+    PartFilter(excluded=frozenset({1, 4, 6})),
+    PartFilter(min_part=2),
+    PartFilter(min_part=3),
+]
+ORDER_IDS = ["all", "no46", "no1", "no12", "no2", "no25", "no146", "min2", "min3"]
 
 
-@pytest.mark.parametrize("t", range(2, 9))
+@pytest.mark.parametrize("t", range(2, 10))
 @pytest.mark.parametrize("f", ORDER_FILTERS, ids=ORDER_IDS)
 def test_streams_match_walker_order(t, f):
     # the part-by-part walker of conftest shares nothing with the abacus;
@@ -190,6 +218,22 @@ def test_streams_with_t_above_n_are_partitions(f):
     assert swept == [(n, parts) for n in range(16) for parts in want[n]]
 
 
+def test_conjugate_pair_of_weight_one_is_streamed_once_each():
+    # (5,5,2,2,1) and (5,4,2,2,2) are conjugate 5-cores of 15 with
+    # x_0 + x_4 = 0, so the paired walk yields each with weight 1
+    pair = [(5, 5, 2, 2, 1), (5, 4, 2, 2, 2)]
+    assert Partition(pair[0]).conjugate().parts == pair[1]
+    weights = Counter()
+    for _, z, w in _abacus.kept_vectors(5, 15, True, PartFilter()):
+        weights[_abacus.core_parts(z, 5)] += w
+    assert [weights[parts] for parts in pair] == [1, 1]
+    exact = [p.parts for p in t_cores_of(15, 5)]
+    swept = [p.parts for n, p in t_cores_up_to(15, 5) if n == 15]
+    for parts in pair:
+        assert exact.count(parts) == swept.count(parts) == 1
+    assert len(exact) == len(set(exact)) == count_t_cores(15, 5)
+
+
 def _least_allowed(f):
     return next(v for v in range(1, 100) if f.allows(v))
 
@@ -207,7 +251,7 @@ def test_part_test_matches_passes(t):
     ]
     least = [_least_allowed(f) for f in filters]
     tests = [(f, m, _abacus.part_test(f, m, t, 60)) for f, m in zip(filters, least)]
-    for n, z, _ in _abacus.core_vectors(t, 1, 60, False):
+    for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, 60, False)):
         parts = _partition_from_vector(vector_of_positions(z, t), t)
         assert sum(parts) == n
         for f, m, keep in tests:
@@ -244,7 +288,8 @@ def test_kept_vectors_match_the_filter_on_parts(t, n_max):
     # and at two exact sizes, and the walk at m = 2 alone must yield
     # exactly the cores with no part 1.
     every = [
-        (n, _abacus.core_parts(z, t)) for n, z, _ in _abacus.core_vectors(t, 1, n_max, False)
+        (n, _abacus.core_parts(z, t))
+        for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, n_max, False))
     ]
     for exact, top in ((False, n_max), (True, n_max), (True, n_max - 1)):
         sized = [(n, parts) for n, parts in every if n == top or not exact and n <= top]
@@ -255,7 +300,8 @@ def test_kept_vectors_match_the_filter_on_parts(t, n_max):
             )
             assert got == Counter((n, parts, 1) for n, parts in sized if f.passes(parts)), f
         got = Counter(
-            (n, _abacus.core_parts(z, t), m) for n, z, m in _abacus.core_vectors(t, 2, top, exact)
+            (n, _abacus.core_parts(z, t), m)
+            for n, z, m in _abacus._each_core(_abacus.core_runs(t, 2, top, exact))
         )
         assert got == Counter((n, parts, 1) for n, parts in sized if 1 not in parts)
 
@@ -293,7 +339,7 @@ def test_paired_weights_core_by_core(t):
     # core when it is self-conjugate.  The cores, their conjugates and
     # their charge vectors come from the walker and the conftest beads.
     weights = Counter()
-    for n, z, w in _abacus.core_vectors(t, 1, 40, False, paired=True):
+    for n, z, w in _abacus._each_core(_abacus.core_runs(t, 1, 40, False, True)):
         parts = _abacus.core_parts(z, t)
         assert sum(parts) == n
         weights[parts] += w

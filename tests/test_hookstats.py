@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 
 from corehooks import _abacus
-from corehooks.generate import PartFilter, count_t_cores
+from corehooks.generate import PartFilter, count_t_cores, t_cores_of, t_cores_up_to
 from corehooks.hookstats import (
     FAILS,
     HOLDS,
@@ -73,6 +73,68 @@ def test_count_query_validation():
         total_hook_count(0, 2, 0)
     with pytest.raises(ValueError, match="n must be non-negative"):
         total_hook_count(-1, 2, 1)
+
+
+def test_arguments_must_be_integers():
+    # a float or a string is rejected by name, never truncated
+    with pytest.raises(ValueError, match="k must be an integer, got 3.7"):
+        bias_table(4, [1, 3.7], 5, 6, relations=[">="])
+    with pytest.raises(ValueError, match="t must be an integer, got 4.9"):
+        cross_core_bias_table([(4.9, 1), (4, "3")], 0, 6, ["<="])
+    with pytest.raises(ValueError, match="k must be an integer, got '3'"):
+        cross_core_bias_table([(4, 1), (4, "3")], 0, 6, ["<="])
+    with pytest.raises(ValueError, match="n_lo must be an integer, got 5.0"):
+        bias_table(4, [1, 3], 5.0, 6, relations=[">="])
+    with pytest.raises(ValueError, match="n_hi must be an integer, got '6'"):
+        bias_table(4, [1, 3], 5, "6", relations=[">="])
+    with pytest.raises(ValueError, match="t must be an integer, got 4.0"):
+        hook_count_table(4.0, 10)
+    with pytest.raises(ValueError, match="n must be an integer, got '10'"):
+        hook_count_table(4, "10")
+    with pytest.raises(ValueError, match="hook lengths must be integers, got 2.0"):
+        hook_count_table(4, 10, ks=(1, 2.0))
+    with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+        total_hook_count(6, 4, 1.5)
+    with pytest.raises(ValueError, match="n must be an integer, got 6.5"):
+        total_hook_count(6.5, 4, 1)
+    with pytest.raises(ValueError, match="t must be an integer, got '4'"):
+        total_hook_count(6, "4", 1)
+    with pytest.raises(ValueError, match="k must be an integer, got '1'"):
+        _hook_counts_at(6, 4, ("1",), PartFilter())
+
+
+@pytest.mark.parametrize("t", [3, 5])
+def test_the_filter_alone_decides_pairing(monkeypatch, t):
+    # The walk pairs conjugate cores exactly when the filter forbids no
+    # value up to n_max, for every reader of it
+    seen = []
+    real = _abacus.core_runs
+
+    def recorded(t, m, n_max, exact, paired=False):
+        seen.append(paired)
+        return real(t, m, n_max, exact, paired)
+
+    monkeypatch.setattr(_abacus, "core_runs", recorded)
+    n = 20
+    cases = [
+        (PartFilter(), True),
+        (PartFilter(excluded={n + 1}), True),
+        (PartFilter(excluded={2}), False),
+        (PartFilter(min_part=2), False),
+        (PartFilter(min_part=t), False),
+    ]
+    for f, paired in cases:
+        readers = [
+            lambda: list(t_cores_of(n, t, f)),
+            lambda: list(t_cores_up_to(n, t, f)),
+            lambda: count_t_cores(n, t, f),
+            lambda: hook_count_table(t, n, f, ks=(1, 2)),
+            lambda: _hook_counts_at(n, t, (1, 2), f),
+        ]
+        for read in readers:
+            seen.clear()
+            read()
+            assert seen == [paired], f
 
 
 @pytest.mark.parametrize("t,k", [(2, 1), (3, 2), (4, 3), (5, 6)])
@@ -268,15 +330,13 @@ def test_run_tally_matches_diagram_hooks(t, n_max):
         for n in sizes:
             assert _hook_counts_at(n, t, ks, f) == want[n], (f, n)
         if f != PartFilter():
-            continue  # a filter that forbids a value is walked unpaired
-        tables, core_counts = _abacus.hook_table(
-            _abacus.kept_runs(te, n_max, False, f, paired=False), te, ks
-        )
+            continue  # the unpaired reference walks every core, unfiltered
+        tables, core_counts = _abacus.hook_table(_abacus.core_runs(te, 1, n_max, False), te, ks)
         assert [tables.get(n, Counter()) for n in range(n_max + 1)] == want
         assert [core_counts[n] for n in range(n_max + 1)] == counts
         for n in sizes:
             tn = _engine_t(t, n)
-            tables, _ = _abacus.hook_table(_abacus.kept_runs(tn, n, True, f), tn, ks)
+            tables, _ = _abacus.hook_table(_abacus.core_runs(tn, 1, n, True), tn, ks)
             assert tables.get(n, Counter()) == want[n], n
 
 
@@ -296,7 +356,7 @@ def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch)
 
     monkeypatch.setattr(_abacus, "hook_table", counted)
     tables, core_counts = hook_count_table(5, 120, ks=(1, 3))
-    every = [(n, list(z)) for n, z, _ in _abacus.core_vectors(5, 1, 120, False)]
+    every = [(n, list(z)) for n, z, _ in _abacus._each_core(_abacus.core_runs(5, 1, 120, False))]
     x = [charge_vector_of(_abacus.core_parts(z, 5), 5) for _, z in every]
     assert len(seen) == sum(1 for v in x if v[0] + v[4] >= 0)
     want, want_counts = real(((z, 1, [(n, z[1], 1)]) for n, z in every), 5, (1, 3))
@@ -327,7 +387,7 @@ def _one_minus_last(x):
 @pytest.mark.parametrize("t,n_max", [(3, 600), (4, 300), (5, 120), (6, 60), (7, 40)])
 def test_one_hooks_minus_last_hooks_closed_form(t, n_max):
     # per core, so a_{t,1}(n) >= a_{t,t-1}(n) for every n
-    for n, z, _ in _abacus.core_vectors(t, 1, n_max, False):
+    for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, n_max, False)):
         d = _one_minus_last(vector_of_positions(z, t))
         tables, _ = _abacus.hook_table([(z, 1, [(n, z[1], 1)])], t, (1, t - 1))
         assert tables[n][1] - tables[n][t - 1] == d, (t, z)

@@ -96,14 +96,14 @@ def test_core_series_matches_product_expansion(t):
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_core_series_matches_abacus_through_2000(t):
-    sizes = Counter(map(itemgetter(0), _abacus.core_vectors(t, 1, 2000, False)))
+    sizes = Counter(map(itemgetter(0), _abacus._each_core(_abacus.core_runs(t, 1, 2000, False))))
     assert list(core_count_series(t, 2000).coeffs) == [sizes[n] for n in range(2001)]
 
 
 @pytest.mark.parametrize("t,n,cores", [(6, 300, 1749), (7, 200, 6375), (8, 150, 13229), (9, 120, 26210)])
 def test_core_series_matches_abacus_at_one_size(t, n, cores):
     assert core_count_series(t, n)[n] == cores
-    assert sum(1 for _ in _abacus.core_vectors(t, 1, n, True)) == cores
+    assert sum(1 for _ in _abacus._each_core(_abacus.core_runs(t, 1, n, True))) == cores
 
 
 @pytest.mark.parametrize("t", [41, 100])

@@ -242,6 +242,15 @@ def test_checks_name_the_largest_closed_form_step():
         assert summary.endswith(f"; closed form exact through L = {ell}"), n_max
 
 
+def test_run_check_reads_n_max_as_an_integer():
+    with pytest.raises(ValueError, match="n_max must be an integer, got 10.5"):
+        run_check("thm14", 10.5)
+    with pytest.raises(ValueError, match="n_max must be an integer, got '10'"):
+        run_check("thm14", "10")
+    with pytest.raises(ValueError, match="n_max must be positive, got 0"):
+        run_check("thm14", 0)
+
+
 def test_thm16_sweeps_its_table_once(monkeypatch):
     calls = []
     real = _abacus.core_runs
