@@ -21,7 +21,9 @@ takes z' as it is; the charge vector x with sum 0 of the same core has
 z_c = c + t*x_c = z'_{(c+L) mod t} - L.  The cores of one prefix of the
 walk below differ only in the last runner, and only two of the t terms
 read it, so such a run costs O(t) per hook length and each of its cores
-O(1), where a diagram costs O(n).
+O(1), where a diagram costs O(n).  hook_columns tallies listed hook
+lengths so, into one column per k over a range of sizes (one row for a
+point query); hook_table counts every hook length of each core.
 
 Sizes are doubled and centred: runner c with x beads costs
 w_c(x) = t*x^2 + g_c*x, g_c = 2c - t + 1, and 2n = sum(w_c(x'_c)) - L^2.
@@ -201,85 +203,95 @@ def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
 
 
 def hook_table(
-    runs: Iterable[tuple[list[int], int, list[tuple[int, int, int]]]],
-    t: int,
-    ks: Sequence[int] | None,
+    runs: Iterable[tuple[list[int], int, list[tuple[int, int, int]]]], t: int
 ) -> tuple[dict[int, Counter], Counter]:
-    """Hook counts of the cores of runs (z, c, cores) as core_runs yields
-    them, each core (n, z_c, w) standing for w cores, by size: (tables,
-    core_counts) with tables[n] mapping hook length to its total over the
-    cores of size n.  With ks None every hook length is counted, otherwise
-    only the ks.  Only sizes with a core appear, and only positive counts
-    are stored.
-
-    For a listed k, r = k mod t, only the terms of runners c and c + r
-    read z_c, so the other t - 2 are summed once per run and each core
-    adds its two: O(t) per run and O(1) per core for each k.  Every z'_b
-    of a run is at least b, as core_runs yields it, so a runner with no
-    bead (z'_b = b) starts no term: z'_{b-r} >= b - r, or b - r + t when
-    b < r, and k >= r.  Only the runners with a bead are summed.
+    """Every hook length of the cores of runs (z, c, cores) as core_runs
+    yields them, each core (n, z_c, w) standing for w cores, by size:
+    (tables, core_counts) with tables[n] mapping hook length to its total
+    over the cores of size n.  Only sizes with a core appear, and only
+    positive counts are stored.  Each core sorts its t positions and
+    tallies every pair of runners.
     """
     core_counts: Counter = Counter()
-    if ks is None:
-        tables: dict[int, Counter] = {}
-        for n, z, w in _each_core(runs):
-            core_counts[n] += w
-            tally = tables.get(n)
-            if tally is None:
-                tally = tables[n] = Counter()
-            # runners c, c2 give hooks k = (c - c2) mod t + a*t < z_c - z_c2,
-            # and there is one only when z_c - z_c2 > t
-            ranked = sorted(zip(z, range(t)))
-            for zc, c in ranked:
-                for z2, c2 in ranked:
-                    span = zc - z2
-                    if span <= t:
-                        break
-                    k = (c - c2) % t
-                    while k < span:
-                        tally[k] += (span - k) // t * w
-                        k += t
-        return tables, core_counts
-    # the distinct ks by k mod t, each with its slot in a row of sums;
-    # multiples of t never occur and get no slot
-    wanted = [k for k in sorted(set(ks)) if k % t]
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for slot, k in enumerate(wanted):
-        groups.setdefault(k % t, []).append((k, slot))
+    tables: dict[int, Counter] = {}
+    for n, z, w in _each_core(runs):
+        core_counts[n] += w
+        tally = tables.get(n)
+        if tally is None:
+            tally = tables[n] = Counter()
+        # runners c, c2 give hooks k = (c - c2) mod t + a*t < z_c - z_c2,
+        # and there is one only when z_c - z_c2 > t
+        ranked = sorted(zip(z, range(t)))
+        for zc, c in ranked:
+            for z2, c2 in ranked:
+                span = zc - z2
+                if span <= t:
+                    break
+                k = (c - c2) % t
+                while k < span:
+                    tally[k] += (span - k) // t * w
+                    k += t
+    return tables, core_counts
+
+
+def hook_columns(
+    runs: Iterable[tuple[list[int], int, list[tuple[int, int, int]]]],
+    t: int,
+    ks: Sequence[int],
+    lo: int,
+    hi: int,
+) -> tuple[list[list[int]], list[int]]:
+    """Hook counts of the listed ks over the cores of runs (z, c, cores)
+    as core_runs yields them, each core (n, z_c, w) standing for w cores,
+    as columns over the sizes lo..hi, which must hold every n of runs:
+    (columns, core_counts), columns[i][n - lo] the total of ks[i]-hooks
+    over the cores of size n and core_counts[n - lo] the number of those
+    cores.  A range table passes (0, n_max), a point query (n, n).
+
+    For k with r = k mod t, only the terms of runners c and c + r read
+    z_c, so the other t - 2 are summed once per run and each core adds
+    its two: O(t) per run and O(1) per core for each k.  Every z'_b of a
+    run is at least b, as core_runs yields it, so a runner with no bead
+    (z'_b = b) starts no term: z'_{b-r} >= b - r, or b - r + t when
+    b < r, and k >= r.  Only the runners with a bead are summed.  Each
+    term is a multiple of t, so the sums are divided once, at the end.
+    """
+    width = hi - lo + 1
+    core_counts = [0] * width
+    # one column of sums per distinct k, grouped by k mod t; multiples of
+    # t never occur and get none
+    sums = {k: [0] * width for k in ks if k % t}
+    groups: dict[int, list[tuple[int, list[int]]]] = {}
+    for k, column in sums.items():
+        groups.setdefault(k % t, []).append((k, column))
     plan = list(groups.items())
-    sums: dict[int, list[int]] = {}
     for z, c, cores in runs:
         z[c] = c  # runner c reads as empty: each core adds its own terms
         full = [b for b in range(t) if z[b] != b]  # the runners with a bead
-        # (slot, the fixed sum, z_{c-r} + k, z_{c+r} - k) for each k: a
+        # (column, the fixed sum, z_{c-r} + k, z_{c+r} - k) for each k: a
         # core adds z_c - z_{c-r} - k and z_{c+r} - z_c - k where positive
         terms = []
-        for r, slots in plan:
+        for r, columns in plan:
             cr = (c + r) % t
-            for k, slot in slots:
+            for k, column in columns:
                 fixed = 0
                 for b in full:
                     if b != cr:
                         v = z[b] - z[b - r] - k
                         if v > 0:
                             fixed += v
-                terms.append((slot, fixed, z[c - r] + k, z[cr] - k))
+                terms.append((column, fixed, z[c - r] + k, z[cr] - k))
         for n, zc, w in cores:
-            row = sums.get(n)
-            if row is None:
-                row = sums[n] = [0] * (len(wanted) + 1)
-            row[-1] += w  # the core count
-            for slot, total, lo, hi in terms:
-                if zc > lo:
-                    total += zc - lo
-                if hi > zc:
-                    total += hi - zc
-                row[slot] += total * w
-    tables = {}
-    for n, row in sums.items():
-        tables[n] = Counter({k: v // t for k, v in zip(wanted, row) if v})
-        core_counts[n] = row[-1]
-    return tables, core_counts
+            i = n - lo
+            core_counts[i] += w
+            for column, total, below, above in terms:
+                if zc > below:
+                    total += zc - below
+                if above > zc:
+                    total += above - zc
+                column[i] += total * w
+    columns = [[v // t for v in sums[k]] if k % t else [0] * width for k in ks]
+    return columns, core_counts
 
 
 def kept_runs(

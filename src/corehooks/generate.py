@@ -204,14 +204,15 @@ def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]
         yield "".join(lines)
 
 
-def _check_core_args(n: int, t: int) -> tuple[int, int]:
-    """(n, t) read as ints and checked: t >= 2, n >= 0."""
+def _check_core_args(n: int, t: int, name: str) -> tuple[int, int]:
+    """(n, t) read as ints and checked: t >= 2, n >= 0.  name is the
+    caller's name for the size n, the one its errors give."""
     t = _integer(t, "t must be an integer")
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    n = _integer(n, "n must be an integer")
+    n = _integer(n, f"{name} must be an integer")
     if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+        raise ValueError(f"{name} must be non-negative, got {n}")
     return n, t
 
 
@@ -223,7 +224,7 @@ def _ordered(
     One walk keeps z' and the weight of each walked core, t + 1 ints, in
     an array per size; the parts of a size are built and sorted when it
     is reached."""
-    n_max, t = _check_core_args(n_max, t)
+    n_max, t = _check_core_args(n_max, t, "n" if exact else "n_max")
     if t > n_max:
         for n in range(n_max if exact else 0, n_max + 1):
             for p in partitions_of(n, f):
@@ -265,7 +266,7 @@ def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
     """Number of t-core partitions of n passing the filter; only the
     cores of N^(t-m) are walked, m the least allowed part, and with no
     filter one core of each conjugate pair is counted with its weight."""
-    n, t = _check_core_args(n, t)
+    n, t = _check_core_args(n, t, "n")
     if t > n:
         return sum(map(f.passes, iter_partition_parts(n)))
     return sum(w for _, _, w in _abacus.kept_vectors(t, n, True, f))

@@ -11,12 +11,19 @@ length a prefix costs O(t) and each of its cores O(1).  When the filter
 forbids no value in range the hooks of only one core of each conjugate
 pair are counted, for both, since conjugation keeps the size and the
 hooks.  Every count is an exact integer.
+
+The totals of listed hook lengths are tallied as columns, one list per k
+over the sizes and one of core counts: a point query has one row, and
+the chain checks compare adjacent value columns elementwise, so past the
+walk they cost a few C-level passes over the range and one record per n.
+hook_count_table builds its Counter per n from the same columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from operator import eq, ge, le
+from itertools import compress, repeat
+from operator import and_, eq, ge, le
 from typing import Sequence
 
 from . import _abacus
@@ -56,19 +63,34 @@ def total_hook_count(
     return _hook_counts_at(n, t, (k,), f)[k]
 
 
+def _walk(n: int, t: int, f: PartFilter, exact: bool, name: str):
+    """(n, te, runs): the size n checked (name is its argument), the
+    runners te to use and the kept runs of the t-cores of size n, or of
+    every size up to n unless exact, that pass the filter."""
+    n, t = _check_core_args(n, t, name)
+    te = _engine_t(t, n)
+    return n, te, _abacus.kept_runs(te, n, exact, f)
+
+
+def _hook_lengths(ks: Sequence[int]) -> list[int]:
+    """ks as a list of ints, each checked to be a positive integer."""
+    ks = [_integer(k, "hook lengths must be integers") for k in ks]
+    if any(k < 1 for k in ks):
+        raise ValueError(f"hook lengths must be positive, got {ks}")
+    return ks
+
+
 def _hook_counts_at(n: int, t: int, ks: Sequence[int], f: PartFilter) -> Counter:
     """Total number of k-hooks for each k in ks over the t-core partitions
     of n that pass the filter, in one walk over the cores of size n.  A k
     with no hooks reads 0."""
-    n, t = _check_core_args(n, t)
-    te = _engine_t(t, n)
+    n, te, runs = _walk(n, t, f, True, "n")
     ks = [_integer(k, "k must be an integer") for k in ks]
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-    runs = _abacus.kept_runs(te, n, True, f)
-    tables, _ = _abacus.hook_table(runs, te, ks)
-    return tables.get(n, Counter())
+    columns, _ = _abacus.hook_columns(runs, te, ks, n, n)
+    return Counter({k: v for k, (v,) in zip(ks, columns) if v})
 
 
 def hook_count_table(
@@ -85,17 +107,20 @@ def hook_count_table(
     core_counts[n] is the number of t-cores of n under the filter.
     Only positive counts are stored.
     """
-    n_max, t = _check_core_args(n_max, t)
-    te = _engine_t(t, n_max)
-    if ks is not None:
-        ks = [_integer(k, "hook lengths must be integers") for k in ks]
-        if any(k < 1 for k in ks):
-            raise ValueError(f"hook lengths must be positive, got {ks}")
-    tables, core_counts = _abacus.hook_table(_abacus.kept_runs(te, n_max, False, f), te, ks)
-    return (
-        [tables.get(n) or Counter() for n in range(n_max + 1)],
-        [core_counts[n] for n in range(n_max + 1)],
-    )
+    n_max, te, runs = _walk(n_max, t, f, False, "n_max")
+    if ks is None:
+        tables, core_counts = _abacus.hook_table(runs, te)
+        return (
+            [tables.get(n) or Counter() for n in range(n_max + 1)],
+            [core_counts[n] for n in range(n_max + 1)],
+        )
+    ks = sorted(set(_hook_lengths(ks)))
+    columns, core_counts = _abacus.hook_columns(runs, te, ks, 0, n_max)
+    tables = [Counter() for _ in range(n_max + 1)]
+    for k, column in zip(ks, columns):
+        for n in compress(range(n_max + 1), column):
+            tables[n][k] = column[n]
+    return tables, core_counts
 
 
 def bias_table(
@@ -170,19 +195,27 @@ def chain_tables(
     for pairs in chains:
         for t, k in pairs:
             ks_of.setdefault(t, set()).add(k)
-    swept = {t: hook_count_table(t, n_hi, f, sorted(ks)) for t, ks in ks_of.items()}
+    # the value column of each (t, k) and the core-count column of each t,
+    # over n_lo..n_hi
+    value_of: dict[tuple[int, int], list[int]] = {}
+    counts_of: dict[int, list[int]] = {}
+    for t, ks in ks_of.items():
+        _, te, runs = _walk(n_hi, t, f, False, "n_hi")
+        ks = _hook_lengths(sorted(ks))
+        columns, core_counts = _abacus.hook_columns(runs, te, ks, 0, n_hi)
+        for k, column in zip(ks, columns):
+            value_of[t, k] = column[n_lo:]
+        counts_of[t] = core_counts[n_lo:]
     out = []
     for pairs in chains:
-        core_counts = [swept[t][1] for t in dict.fromkeys(t for t, _ in pairs)]
-        records = []
-        for n in range(n_lo, n_hi + 1):
-            values = {(t, k): swept[t][0][n][k] for t, k in pairs}
-            if all(counts[n] == 0 for counts in core_counts):
-                verdict = NOT_APPLICABLE
-            else:
-                vals = [values[p] for p in pairs]
-                ok = all(op(a, b) for op, a, b in zip(ops, vals, vals[1:]))
-                verdict = HOLDS if ok else FAILS
-            records.append(BiasRecord(n=n, values=values, verdict=verdict))
-        out.append(records)
+        values = [value_of[p] for p in pairs]
+        holds = repeat(True)
+        for op, a, b in zip(ops, values, values[1:]):
+            holds = map(and_, holds, map(op, a, b))
+        # whether some t of the chain has a core of n
+        cored = map(any, zip(*[counts_of[t] for t in dict.fromkeys(t for t, _ in pairs)]))
+        out.append([
+            BiasRecord(n, dict(zip(pairs, row)), (HOLDS if ok else FAILS) if c else NOT_APPLICABLE)
+            for n, row, ok, c in zip(range(n_lo, n_hi + 1), zip(*values), holds, cored)
+        ])
     return out

@@ -233,10 +233,13 @@ def test_conj_scan_with_t_above_n(capsys):
 
 def _pins():
     """Every tiny pin of bench/reference.json, and the full pins of the
-    nocore workload (its invocations are listed in bench/workloads.json)."""
+    sweep and nocore workloads (their invocations are listed in
+    bench/workloads.json)."""
     pins = json.loads(REFERENCE.read_text())["pins"]
-    nocore = json.loads(WORKLOADS.read_text())["nocore"]["full"]
-    full = {" ".join(spec["argv"]) for spec in nocore}
+    workloads = json.loads(WORKLOADS.read_text())
+    full = {
+        " ".join(spec["argv"]) for name in ("sweep", "nocore") for spec in workloads[name]["full"]
+    }
     return sorted(pins["tiny"].items()) + sorted(
         (k, v) for k, v in pins["full"].items() if k in full
     )

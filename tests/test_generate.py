@@ -113,8 +113,10 @@ def test_core_arguments_must_be_integers():
         list(t_cores_of(10, "4"))
     with pytest.raises(ValueError, match="n must be an integer, got '10'"):
         list(t_cores_of("10", 4))
-    with pytest.raises(ValueError, match="n must be an integer, got 10.5"):
+    with pytest.raises(ValueError, match="n_max must be an integer, got 10.5"):
         list(t_cores_up_to(10.5, 4))
+    with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+        list(t_cores_up_to(-1, 4))
     with pytest.raises(ValueError, match="t must be an integer, got 3.0"):
         list(t_cores_up_to(10, 3.0))
 
@@ -372,16 +374,18 @@ def test_core_parts_from_random_charge_vector(drawn):
     n = sum(parts)
     assert 2 * n == t * sum(x * x for x in xs) + 2 * sum(c * x for c, x in enumerate(xs))
     hooks = Counter(naive_hooks(parts))
-    # hook_table takes positions with every runner at level >= 0, as the
+    # hook_columns takes positions with every runner at level >= 0, as the
     # walk gives them: moving every position by the same multiple of t
     # keeps the core.  Each runner c in turn carries the core as a run of one.
     lifted = [zc - t * min(xs) for zc in z]
     for c in range(t):
         run = [(list(lifted), c, [(n, lifted[c], 1)])]
-        tables, counts = _abacus.hook_table(run, t, range(1, 13))
-        assert counts == Counter({n: 1})
-        assert {k: tables[n][k] for k in range(1, 13)} == {k: hooks[k] for k in range(1, 13)}
-    tables, _ = _abacus.hook_table([(z, 0, [(n, z[0], 1)])], t, None)
+        columns, counts = _abacus.hook_columns(run, t, range(1, 13), n, n)
+        assert counts == [1]
+        assert {k: v for k, (v,) in zip(range(1, 13), columns)} == {
+            k: hooks[k] for k in range(1, 13)
+        }
+    tables, _ = _abacus.hook_table([(z, 0, [(n, z[0], 1)])], t)
     assert tables[n] == hooks
 
 

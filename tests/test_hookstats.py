@@ -12,6 +12,7 @@ from corehooks.hookstats import (
     _engine_t,
     _hook_counts_at,
     bias_table,
+    chain_tables,
     cross_core_bias_table,
     hook_count_table,
     total_hook_count,
@@ -71,8 +72,10 @@ def test_count_query_validation():
         total_hook_count(0, 1, 1)
     with pytest.raises(ValueError, match="k must be positive"):
         total_hook_count(0, 2, 0)
-    with pytest.raises(ValueError, match="n must be non-negative"):
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
         total_hook_count(-1, 2, 1)
+    with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+        hook_count_table(4, -1)
 
 
 def test_arguments_must_be_integers():
@@ -89,7 +92,7 @@ def test_arguments_must_be_integers():
         bias_table(4, [1, 3], 5, "6", relations=[">="])
     with pytest.raises(ValueError, match="t must be an integer, got 4.0"):
         hook_count_table(4.0, 10)
-    with pytest.raises(ValueError, match="n must be an integer, got '10'"):
+    with pytest.raises(ValueError, match="n_max must be an integer, got '10'"):
         hook_count_table(4, "10")
     with pytest.raises(ValueError, match="hook lengths must be integers, got 2.0"):
         hook_count_table(4, 10, ks=(1, 2.0))
@@ -214,6 +217,38 @@ def test_cross_core_table():
         cross_core_bias_table([], 0, 5, [])
 
 
+@pytest.mark.parametrize("excluded", [{2}, {1, 2}])
+def test_chain_tables_match_the_walker(excluded):
+    # thm19's two chains over two t, and a chain at t = 3 whose "<=" fails
+    # where a_{3,1} > a_{3,2}, from n_lo > 0 under a restricted filter.
+    # Every value, core and verdict comes from the conftest walker with
+    # hooks counted on the diagram, which share nothing with the abacus.
+    f = PartFilter(excluded=excluded)
+    chains = [[(2, 1), (4, 1)], [(2, 3), (4, 3)], [(3, 1), (3, 2)]]
+    n_lo, n_hi = 5, 40
+    hooks = {t: [Counter() for _ in range(n_hi + 1)] for t in (2, 3, 4)}
+    cores = {t: [0] * (n_hi + 1) for t in (2, 3, 4)}
+    for t in (2, 3, 4):
+        for n, parts in walk_t_cores(t, n_hi, False, f.excluded):
+            hooks[t][n].update(naive_hooks(parts))
+            cores[t][n] += 1
+    tables = chain_tables(chains, n_lo, n_hi, ["<="], f)
+    verdicts = set()
+    for pairs, records in zip(chains, tables):
+        assert [r.n for r in records] == list(range(n_lo, n_hi + 1))
+        for r in records:
+            values = [hooks[t][r.n][k] for t, k in pairs]
+            assert r.values == dict(zip(pairs, values)), (pairs, r.n)
+            if not any(cores[t][r.n] for t, _ in pairs):
+                want = NOT_APPLICABLE
+            else:
+                want = HOLDS if values[0] <= values[1] else FAILS
+            assert r.verdict == want, (pairs, r.n)
+            verdicts.add(r.verdict)
+    if excluded == {2}:
+        assert verdicts == {HOLDS, FAILS, NOT_APPLICABLE}
+
+
 def test_box_conservation_small():
     # every box of every t-core contributes exactly one hook
     for t in range(2, 8):
@@ -301,7 +336,7 @@ def _diagram_hooks(parts):
     + [(20, 30), (31, 30), (40, 30)],
 )
 def test_run_tally_matches_diagram_hooks(t, n_max):
-    # hook_table sums the terms of a run's fixed runners once and adds the
+    # hook_columns sums the terms of a run's fixed runners once and adds the
     # two terms of the last runner per core.  Against the walker's cores
     # with hooks counted on the diagram: range and exact n, paired (no
     # filter) and unpaired, ks with multiples of t and k > n_max.
@@ -325,43 +360,52 @@ def test_run_tally_matches_diagram_hooks(t, n_max):
                 counts[n] += 1
                 hooks = _diagram_hooks(parts)
                 want[n].update({k: hooks[k] for k in ks if hooks[k]})
-        assert hook_count_table(t, n_max, f, ks) == (want, counts), f
+        tables, core_counts = hook_count_table(t, n_max, f, ks)
+        assert (tables, core_counts) == (want, counts), f
+        # the public table is still a Counter per n, holding positive counts
+        assert all(type(row) is Counter and all(row.values()) for row in tables), f
         sizes = sorted({0, 1, 2, n_max // 2, n_max - 1, n_max})
         for n in sizes:
             assert _hook_counts_at(n, t, ks, f) == want[n], (f, n)
         if f != PartFilter():
             continue  # the unpaired reference walks every core, unfiltered
-        tables, core_counts = _abacus.hook_table(_abacus.core_runs(te, 1, n_max, False), te, ks)
-        assert [tables.get(n, Counter()) for n in range(n_max + 1)] == want
-        assert [core_counts[n] for n in range(n_max + 1)] == counts
+        columns, core_counts = _abacus.hook_columns(
+            _abacus.core_runs(te, 1, n_max, False), te, ks, 0, n_max
+        )
+        assert [{k: v for k, v in zip(ks, row) if v} for row in zip(*columns)] == want
+        assert core_counts == counts
         for n in sizes:
             tn = _engine_t(t, n)
-            tables, _ = _abacus.hook_table(_abacus.core_runs(tn, 1, n, True), tn, ks)
-            assert tables.get(n, Counter()) == want[n], n
+            columns, core_counts = _abacus.hook_columns(
+                _abacus.core_runs(tn, 1, n, True), tn, ks, n, n
+            )
+            # a point query has one row
+            assert len(core_counts) == 1 and all(len(column) == 1 for column in columns)
+            assert {k: v for k, (v,) in zip(ks, columns) if v} == want[n], n
 
 
 def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch):
     # Hooks are evaluated only for the cores with x_0 + x_4 >= 0; the
     # weights restore the totals of every core.
     seen = []
-    real = _abacus.hook_table
+    real = _abacus.hook_columns
 
-    def counted(runs, t, ks):
+    def counted(runs, t, ks, lo, hi):
         def watched():
             for run in runs:
                 seen.extend(run[2])  # the run's cores
                 yield run
 
-        return real(watched(), t, ks)
+        return real(watched(), t, ks, lo, hi)
 
-    monkeypatch.setattr(_abacus, "hook_table", counted)
+    monkeypatch.setattr(_abacus, "hook_columns", counted)
     tables, core_counts = hook_count_table(5, 120, ks=(1, 3))
     every = [(n, list(z)) for n, z, _ in _abacus._each_core(_abacus.core_runs(5, 1, 120, False))]
     x = [charge_vector_of(_abacus.core_parts(z, 5), 5) for _, z in every]
     assert len(seen) == sum(1 for v in x if v[0] + v[4] >= 0)
-    want, want_counts = real(((z, 1, [(n, z[1], 1)]) for n, z in every), 5, (1, 3))
-    assert core_counts == [want_counts[n] for n in range(121)]
-    assert tables == [want.get(n, Counter()) for n in range(121)]
+    want, want_counts = real(((z, 1, [(n, z[1], 1)]) for n, z in every), 5, (1, 3), 0, 120)
+    assert core_counts == want_counts
+    assert tables == [{k: v for k, v in zip((1, 3), row) if v} for row in zip(*want)]
 
 
 @pytest.mark.parametrize("t", range(2, 8))
@@ -389,8 +433,9 @@ def test_one_hooks_minus_last_hooks_closed_form(t, n_max):
     # per core, so a_{t,1}(n) >= a_{t,t-1}(n) for every n
     for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, n_max, False)):
         d = _one_minus_last(vector_of_positions(z, t))
-        tables, _ = _abacus.hook_table([(z, 1, [(n, z[1], 1)])], t, (1, t - 1))
-        assert tables[n][1] - tables[n][t - 1] == d, (t, z)
+        run = [(z, 1, [(n, z[1], 1)])]
+        (ones,), (lasts,) = _abacus.hook_columns(run, t, (1, t - 1), n, n)[0]
+        assert ones - lasts == d, (t, z)
         assert 0 <= d <= t - 2
 
 

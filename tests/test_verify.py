@@ -311,16 +311,16 @@ def test_thm19_reports_failures_of_both_chains(monkeypatch, capsys):
 
 def test_thm16_reports_a_wrong_restricted_count(monkeypatch):
     # thm16 is a theorem, so one restricted 4-core 1-hook count is staged wrong
-    from corehooks import hookstats
+    from corehooks import _abacus
 
-    real = hookstats.hook_count_table
+    real = _abacus.hook_columns
 
-    def miscounted(t, n_max, f, ks):
-        tables, core_counts = real(t, n_max, f, ks)
-        tables[9][1] += 1
-        return tables, core_counts
+    def miscounted(runs, t, ks, lo, hi):
+        columns, core_counts = real(runs, t, ks, lo, hi)
+        columns[ks.index(1)][9 - lo] += 1
+        return columns, core_counts
 
-    monkeypatch.setattr(hookstats, "hook_count_table", miscounted)
+    monkeypatch.setattr(_abacus, "hook_columns", miscounted)
     res = run_check("thm16", 20)
     msg = "restricted 4-core hook counts at n=9: 1-hooks=3, 3-hooks=2, expected both 2"
     assert not res.holds and res.failing_n == [9]
