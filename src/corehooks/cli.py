@@ -105,8 +105,12 @@ def _write_file(path: str, text: str | Iterable[str]):
     followed) is written to a temp file beside it and renamed onto it, so
     it never holds a partial write; the temp file keeps an existing
     target's permission bits and is removed on failure.  Anything else,
-    such as a device or a FIFO, is written in place."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    such as a device or a FIFO, is written in place, and so is a path
+    ending in a separator or a dot entry ("out/", "out/."), which open
+    refuses like any directory rather than realpath dropping the end."""
+    if os.path.basename(path) in ("", os.curdir, os.pardir) or (
+        os.path.exists(path) and not os.path.isfile(path)
+    ):
         with open(path, "w") as fh:
             _write_chunks(fh, text)
         return

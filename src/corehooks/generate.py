@@ -137,8 +137,7 @@ def _min_caps(n: int, f: PartFilter) -> list[int]:
 def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]:
     """The text lines ("[6,3,2,1]\\n") of the partitions of n passing the
     filter, in the order and with the bytes of parts_text over
-    partitions_of(n, f), joined about 4096 lines to a chunk.  No chunk is
-    empty.
+    partitions_of(n, f).  No chunk is empty.
 
     Only allowed part values are ever tried, and a part is placed only
     when the remainder still has a partition into allowed parts no larger
@@ -146,7 +145,9 @@ def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]
     and a filtered n costs its output, not p(n).  Remainders of at most
     _SUFFIX_MAX are finished from a table of suffix texts ",a,b]\\n" built
     once per call; longer prefixes are walked with an explicit stack, so
-    nothing recurses however many parts a partition has.
+    nothing recurses however many parts a partition has.  A prefix and its
+    block of suffixes are one join, and a chunk ends with the block that
+    brings it to _CHUNK_LINES lines, so it has less than one block more.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -181,7 +182,8 @@ def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]
     # every frame below it, so one string serves the whole stack.
     text = "["
     stack = [(1, n, allowed_down_from(n))]
-    lines: list[str] = []
+    blocks: list[str] = []
+    lines = 0
     while stack:
         head_len, r, values = stack[-1]
         for v in values:
@@ -190,18 +192,21 @@ def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]
                 continue
             line_head = text[:head_len] + strs[v]
             if rest <= _SUFFIX_MAX:
-                lines += map(line_head.__add__, suffix[rest][min(v, rest)])
-                if len(lines) >= _CHUNK_LINES:
-                    yield "".join(lines)
-                    lines = []
+                block = suffix[rest][min(v, rest)]  # each suffix ends its line
+                blocks.append(line_head + line_head.join(block))
+                lines += len(block)
+                if lines >= _CHUNK_LINES:
+                    yield "".join(blocks)
+                    blocks = []
+                    lines = 0
             else:
                 text = line_head + ","
                 stack.append((len(text), rest, allowed_down_from(min(v, rest))))
                 break
         else:
             stack.pop()
-    if lines:
-        yield "".join(lines)
+    if blocks:
+        yield "".join(blocks)
 
 
 def _check_core_args(n: int, t: int, name: str) -> tuple[int, int]:

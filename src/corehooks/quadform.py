@@ -16,7 +16,7 @@ itself against the triple triangular series and the 4-core counts.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd, isqrt
 from operator import sub
 
@@ -134,12 +134,12 @@ def odd_representation(h: int) -> OddRepresentation:
     """The lexicographically smallest all-odd (x, y, z) representing
     (2h+1)^2 + 4, packaged with m = (x-1)/2, r = (y-1)/2, s = (z-1)/2.
 
-    For each odd x, with half = ((2h+1)^2 + 4 - x^2)/2, the odd y run up
-    from 1 and half - y^2 is looked up in the set of odd squares.  If
-    (y, z) solves y^2 + z^2 = half, so does (z, y), so the smallest y of a
-    solution has y <= z and the search for y stops at 2y^2 > half.  An
-    odd square is 1 mod 8, so a sum of two is 2 mod 8; any x whose half is
-    not is skipped without a search, and so is any x whose half a prime
+    For each odd x, with half = ((2h+1)^2 + 4 - x^2)/2, the odd z run down
+    from the largest with z^2 <= half, and the first z leaving an odd
+    square half - z^2 gives the smallest y.  If (y, z) solves y^2 + z^2 =
+    half, so does (z, y), so the smallest y has y <= z and the search for
+    z stops at 2z^2 < half.  An odd square is 1 mod 8, so a sum of two is 2 mod 8; any x whose half
+    is not is skipped without a search, and so is any x whose half a prime
     p = 3 (mod 4) below 50 divides exactly once (_not_two_squares), since
     such a half is no sum of two squares at all.
     """
@@ -153,12 +153,13 @@ def odd_representation(h: int) -> OddRepresentation:
         half = (target - x * x) // 2  # target - x^2 is 4 mod 8, so exact
         if half % 8 != 2 or _not_two_squares(half):
             continue
-        # the first odd square y^2 <= half / 2 leaving an odd square z^2,
-        # found in C
-        y_squares = islice(odd_squares, (isqrt(half // 2) + 1) // 2)
-        z2 = next(filter(is_odd_square, map(sub, repeat(half), y_squares)), None)
-        if z2 is not None:
-            y, z = isqrt(half - z2), isqrt(z2)
+        # the first odd square z^2 in [half / 2, half], largest first, that
+        # leaves an odd square y^2, found in C; (isqrt(v) + 1) // 2 are <= v
+        lo, hi = (isqrt((half - 1) // 2) + 1) // 2, (isqrt(half) + 1) // 2
+        z_squares = reversed(odd_squares[lo:hi])
+        y2 = next(filter(is_odd_square, map(sub, repeat(half), z_squares)), None)
+        if y2 is not None:
+            y, z = isqrt(y2), isqrt(half - y2)
             return OddRepresentation(
                 h=h,
                 x=x,

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from math import isqrt
-from operator import add, sub
 
 from .generate import (
     EMPTY_FILTER,
@@ -143,21 +142,22 @@ def _region_samples(parts: tuple[int, ...], hooks: list[int], t: int):
 
 
 def _missing_hook_lengths(parts: tuple[int, ...], ts) -> list[int]:
-    """The t of ts (ascending, positive, not empty) that are not hook
-    lengths of the diagram of parts.
+    """The t of ts (positive), in their order, that are not hook lengths
+    of the diagram of parts.
 
     The first-column hooks b_i = parts[i-1] + len(parts) - i are the beta
     numbers of the partition, and the hook lengths are the differences
     b - c of a beta number b and a non-negative c < b that is not one.  So
     the diagram has a t-hook exactly when some b >= t leaves b - t outside
-    the betas.  For b < t, b - t is negative; with the negative numbers
-    down to -max(ts) added to the set of betas, one C-level superset test
-    over every b decides each t in O(len(parts)).
+    the betas.  With bits the int whose bit b is set for each beta number,
+    bit c of (bits >> t) & ~bits is set exactly when c + t is a beta number
+    and c is not, so t is missing exactly when that int is 0: one shift
+    and one mask per t, after one pass over the parts to build bits.
     """
-    betas = list(map(add, parts, range(len(parts) - 1, -1, -1)))
-    present = set(range(-ts[-1], 0))
-    present.update(betas)
-    return [t for t in ts if present.issuperset(map(sub, betas, repeat(t)))]
+    bits = 0
+    for i, v in enumerate(reversed(parts)):
+        bits |= 1 << (v + i)  # the beta number of the i-th part from the end
+    return [t for t in ts if not (bits >> t) & ~bits]
 
 
 def region_theorem_scan(

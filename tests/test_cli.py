@@ -678,6 +678,29 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, target_is_dir):
     assert [p.name for p in tmp_path.iterdir()] == (["target"] if target_is_dir else [])
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["count", "--t", "3", "--k", "1,2", "--n", "0..3"], "nodir"),
+        (["count", "--t", "3", "--k", "1,2", "--n", "0..3"], "f"),
+        (["verify", "--check", "conj15", "--n-max", "93"], "nodir"),
+    ],
+    ids=["missing", "existing-file", "verify-report"],
+)
+def test_output_path_ending_in_separator_exits_2(capsys, tmp_path, argv, name):
+    # a trailing separator names a directory: open refuses it, so the
+    # file named without it is neither replaced nor created, and no
+    # report path is printed
+    (tmp_path / "f").write_text("kept\n")
+    target = str(tmp_path / name) + os.sep
+    code, out, err = run_cli(capsys, *argv, "--out", target)
+    assert code == 2 and "report:" not in out
+    assert err.startswith("corehooks: error: ") and repr(target) in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+    assert (tmp_path / "f").read_text() == "kept\n"
+
+
 def test_failed_rename_removes_temp_file(capsys, tmp_path, monkeypatch):
     def failing_replace(src, dst):
         raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corehooks import _abacus
+from corehooks import _abacus, generate
 from corehooks.generate import (
     PartFilter,
     count_t_cores,
@@ -433,21 +433,40 @@ def _text_oracle(n, f):
 
 def _chunks_checked(n, f):
     chunks = list(partition_text_chunks(n, f))
-    assert all(chunks), "an empty chunk was yielded"
-    # about 4096 lines each; a table leaf adds at most p(14) = 135 more
-    assert all(c.count("\n") < 4096 + 135 for c in chunks)
+    sizes = [c.count("\n") for c in chunks]
+    assert all(sizes), "an empty chunk was yielded"
+    # a chunk is cut after the suffix block that brings it to _CHUNK_LINES
+    # lines, so each but the last holds at least that many and every one
+    # less than that plus the largest block: the partitions of some
+    # remainder r <= _SUFFIX_MAX into allowed parts up to a cap
+    largest = max(
+        sum(1 for _ in partitions_of(r, f)) for r in range(min(n, generate._SUFFIX_MAX) + 1)
+    )
+    assert all(size < generate._CHUNK_LINES + largest for size in sizes)
+    assert all(size >= generate._CHUNK_LINES for size in sizes[:-1])
     return "".join(chunks)
 
 
 @pytest.mark.parametrize(
     "f",
-    [PartFilter(), C1, C12, PartFilter(excluded=frozenset({2, 5})), PartFilter(min_part=3)],
-    ids=["all", "no1", "no12", "no25", "min3"],
+    [
+        PartFilter(),
+        C1,
+        C12,
+        PartFilter(excluded=frozenset({2, 5})),
+        PartFilter(excluded=frozenset({1, 3})),
+        PartFilter(min_part=3),
+        PartFilter(min_part=4),
+    ],
+    ids=["all", "no1", "no12", "no25", "no13", "min3", "min4"],
 )
-def test_partition_text_matches_parts_text(f):
-    # n = 0..32 crosses the suffix table bound of 14
-    for n in range(33):
-        assert _chunks_checked(n, f) == _text_oracle(n, f), n
+def test_partition_text_matches_parts_text(monkeypatch, f):
+    # n = 0..32 crosses the suffix table bound of 14; at 7 lines to a
+    # chunk most n are cut into several
+    for chunk_lines in (generate._CHUNK_LINES, 7):
+        monkeypatch.setattr(generate, "_CHUNK_LINES", chunk_lines)
+        for n in range(33):
+            assert _chunks_checked(n, f) == _text_oracle(n, f), (n, chunk_lines)
 
 
 def test_partition_text_with_every_part_excluded():

@@ -78,6 +78,29 @@ def test_odd_representations_pinned_through_6000():
     )
 
 
+def test_search_exhausts_an_x_that_passes_both_screens():
+    # some answers come after an x that both screens let through: the z
+    # search ran over its whole range there and found no pair, and a
+    # listing of the odd pairs confirms there is none
+    exhausted = []
+    for h in range(2, 151):
+        target = (2 * h + 1) ** 2 + 4
+        halves = ((x, (target - x * x) // 2) for x in range(1, isqrt(target) + 1, 2))
+        x, half = next(
+            (x, half) for x, half in halves if half % 8 == 2 and not _not_two_squares(half)
+        )
+        if odd_representation(h).x != x:
+            odd_pairs = [
+                (y, z)
+                for y in range(1, isqrt(half // 2) + 1, 2)
+                for z in range(y, isqrt(half) + 1, 2)
+                if y * y + z * z == half
+            ]
+            assert odd_pairs == [], h
+            exhausted.append(h)
+    assert exhausted[:3] == [61, 73, 76]
+
+
 def test_prime_rule_skips_only_halves_with_no_odd_pair():
     # every half = 2 mod 8 below 3 * 10^5 that the rule skips is no sum
     # y^2 + z^2 of odd y <= z, by listing every such sum
