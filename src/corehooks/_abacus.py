@@ -22,21 +22,22 @@ z_c = c + t*x_c = z'_{(c+L) mod t} - L.  The cores of one prefix of the
 walk below differ only in the last runner, and only two of the t terms
 read it, so such a run costs O(t) per hook length and each of its cores
 O(1), where a diagram costs O(n).  hook_columns tallies listed hook
-lengths so, into one column per k over a range of sizes (one row for a
+lengths so, into one column per k over a window of sizes (one row for a
 point query); hook_table counts every hook length of each core.
 
-Sizes are doubled and centred: runner c with x beads costs
-w_c(x) = t*x^2 + g_c*x, g_c = 2c - t + 1, and 2n = sum(w_c(x'_c)) - L^2.
-The walk fixes runners t-1 down to m+1 in turn, with two bounds on the
-runners m..c-1 still free.  With s and w the sum and cost fixed so far,
-x'_c included, and k runners free, any real completion gives
+The walk yields the cores of sizes lo..hi.  Sizes are doubled and
+centred: runner c with x beads costs w_c(x) = t*x^2 + g_c*x, with
+g_c = 2c - t + 1, and 2n = sum(w_c(x'_c)) - L^2.  The walk fixes runners
+t-1 down to m+1 in turn, with two bounds on the runners m..c-1 still
+free.  With s and w the sum and cost fixed so far, x'_c included, and k
+runners free, any real completion gives
 
     2n >= w - (G2 + (2ts - G1)^2 / (t - k)) / (4t),
 
 G1 and G2 the sums of g_b and g_b^2 over the free runners (G2 summed once
 per call), so x'_c ranges over the integer interval where this stays
-within 2n_max.  Each x'_c in it is then kept only if the cheapest integer
-completion stays within 2n_max too.  That completion adds beads at the
+within 2hi.  Each x'_c in it is then kept only if the cheapest integer
+completion stays within 2hi too.  That completion adds beads at the
 lowest free positions while each lowers n.  The i-th bead added lies in
 level j = (i-1) // k, at m + (i-1) mod k + jt, and lowers n by s + i - 1
 minus that, s - m - j(t - k) for the whole level; so it fills the l
@@ -45,10 +46,12 @@ searched: with s and w the sum and cost of runners m+1..t-1,
 
     2n = (t-1)x^2 + (2m - t + 1 - 2s)x + w - s^2,   x = x'_m,
 
-a quadratic whose root interval (for one exact n, its integer roots)
-gives the cores of the prefix, yielded together as one run.  So the
-4-cores with no parts 1, 2 are N^1: (3L, ..., 6, 3) at n = 3L(L+1)/2,
-thm16's form.
+a quadratic.  Its root interval for hi less the open interval where
+n < lo, at most two integer intervals, gives the cores of the prefix,
+yielded together as one run; lo = 0 leaves the root interval whole, and
+lo = hi its integer roots.  The prefixes are bounded by hi alone, so a
+window costs one prefix walk plus its cores.  So the 4-cores with no
+parts 1, 2 are N^1: (3L, ..., 6, 3) at n = 3L(L+1)/2, thm16's form.
 
 Conjugation maps x to (-x_{t-1}, ..., -x_0), another core of the same
 size with the same hooks, so a total over all cores needs one core of
@@ -58,7 +61,7 @@ each conjugate pair, weighted.  On z', with r = L mod t,
 
 and a core with a positive sum stands for itself and its conjugate, one
 with sum 0 for itself alone, and one with a negative sum is skipped.
-kept_runs pairs the walk when the filter forbids no value up to n_max, so
+kept_runs pairs the walk when the filter forbids no value up to hi, so
 that every conjugate passes too, and every reader takes the weight.
 
 Everything here is iterative, and the callers pass t no larger than
@@ -77,20 +80,20 @@ if TYPE_CHECKING:
 
 
 def core_runs(
-    t: int, m: int, n_max: int, exact: bool, paired: bool = False
+    t: int, m: int, lo: int, hi: int, paired: bool = False
 ) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
-    """Yield the t-cores with no part below m >= 1 of size n <= n_max, or
-    n == n_max when exact, one prefix at a time and in no particular
-    order: runs (z', c, cores) with z' set on every runner but c and
-    cores a non-empty list of (n, z'_c, w), w the number of cores each
-    stands for: 1, unless paired (which needs m = 1) yields one core of
-    each conjugate pair, weighted.  c is m, or t - 1 for the empty core
-    alone when m >= t.  z' is one list, rewritten in place between yields.
+    """Yield the t-cores with no part below m >= 1 of size lo <= n <= hi,
+    one prefix at a time and in no particular order: runs (z', c, cores)
+    with z' set on every runner but c and cores a non-empty list of
+    (n, z'_c, w), w the number of cores each stands for: 1, unless paired
+    (which needs m = 1) yields one core of each conjugate pair, weighted.
+    c is m, or t - 1 for the empty core alone when m >= t.  z' is one
+    list, rewritten in place between yields.
     """
-    budget = 2 * n_max
+    budget = 2 * hi
     z = list(range(t))  # z'_c = c + t*x'_c
     if m >= t:  # the empty core alone
-        if not exact or n_max == 0:
+        if lo == 0:
             yield z, t - 1, [(0, t - 1, 1)]
         return
     t1 = t - 1
@@ -147,6 +150,7 @@ def core_runs(
             c -= 1
             fixed[c] = s, w
 
+    below = 4 * q * (hi - lo)  # disc less the discriminant of n = lo
     for s, w in prefixes():
         b = g_m - 2 * s
         c0 = w - s * s
@@ -154,11 +158,22 @@ def core_runs(
         if disc < 0:
             continue
         root = isqrt(disc)
-        if exact:
+        if not below:  # one size, lo = hi: q*x + b is root or -root
             if root * root != disc:
                 continue
-            # q*x + b is root or -root for a non-negative integer x
             xs = {v // q for v in (root - b, -root - b) if v >= 0 and v % q == 0}
+        elif lo and disc > below:
+            d = disc - below  # n < lo where (q*x + b)^2 < d
+            if root * root < d:
+                continue  # no integer q*x + b has n in the window
+            x0, x1, r = max(0, -((root + b) // q)), (root - b) // q, isqrt(d - 1)
+            cut, up = -((r + b) // q), (r - b) // q + 1  # n < lo for cut <= x < up
+            if cut <= x0:
+                xs = range(max(x0, up), x1 + 1)
+            elif up > x1:
+                xs = range(x0, min(cut, x1 + 1))
+            else:  # n reaches lo on both sides: two intervals
+                xs = [*range(x0, cut), *range(up, x1 + 1)]
         else:
             xs = range(max(0, -((root + b) // q)), (root - b) // q + 1)
         if not xs:
@@ -246,7 +261,7 @@ def hook_columns(
     as columns over the sizes lo..hi, which must hold every n of runs:
     (columns, core_counts), columns[i][n - lo] the total of ks[i]-hooks
     over the cores of size n and core_counts[n - lo] the number of those
-    cores.  A range table passes (0, n_max), a point query (n, n).
+    cores: (0, n_max) for a range table, (n, n) for a point query.
 
     For k with r = k mod t, only the terms of runners c and c + r read
     z_c, so the other t - 2 are summed once per run and each core adds
@@ -295,19 +310,19 @@ def hook_columns(
 
 
 def kept_runs(
-    t: int, n_max: int, exact: bool, f: PartFilter
+    t: int, lo: int, hi: int, f: PartFilter
 ) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
     """core_runs for the cores whose parts pass the filter.  With m the
     least value it allows, the walk builds the cores with no part below m,
     and part_test decides the forbidden values above m.  When the filter
-    forbids no value up to n_max, the conjugate of every core passes too,
-    so the walk yields one core of each conjugate pair with its weight.
+    forbids no value up to hi, the conjugate of every core passes too, so
+    the walk yields one core of each conjugate pair with its weight.
     """
     m = f.min_part
     while m in f.excluded:
         m += 1
-    keep = part_test(f, m, t, n_max)
-    runs = core_runs(t, m, n_max, exact, m == 1 and keep is None)
+    keep = part_test(f, m, t, hi)
+    runs = core_runs(t, m, lo, hi, m == 1 and keep is None)
     if keep is None:
         yield from runs
         return
@@ -322,10 +337,10 @@ def kept_runs(
 
 
 def kept_vectors(
-    t: int, n_max: int, exact: bool, f: PartFilter
+    t: int, lo: int, hi: int, f: PartFilter
 ) -> Iterator[tuple[int, list[int], int]]:
     """The cores of kept_runs one at a time, as (n, z', w)."""
-    return _each_core(kept_runs(t, n_max, exact, f))
+    return _each_core(kept_runs(t, lo, hi, f))
 
 
 def part_test(f: PartFilter, m: int, t: int, n_max: int):

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable
 
 from .generate import (
@@ -27,7 +27,7 @@ from .generate import (
     partition_text_chunks,
     t_cores_of,
 )
-from .hookstats import FAILS, _hook_counts_at, bias_table, total_hook_count
+from .hookstats import FAILS, _hook_columns, bias_table, total_hook_count
 from .qseries import core_count_series
 from .quadform import OddRepresentation, odd_representation
 from .verify import CHECKS, run_check, bias_records_json
@@ -268,10 +268,8 @@ def _cmd_count(args) -> int:
     if n_lo == n_hi and len(ks) == 1 and args.format == "csv":
         _write_output(f"{total_hook_count(n_lo, t, ks[0], f)}\n", args.out)
         return 0
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        counts = _hook_counts_at(n, t, ks, f)
-        rows += [(n, t, k, counts[k]) for k in ks]
+    columns = _hook_columns(n_lo, n_hi, t, ks, f)  # one walk over the sizes n_lo..n_hi
+    rows = [(n, t, k, v) for n, *vs in zip(count(n_lo), *columns) for k, v in zip(ks, vs)]
     _write_table(args, ("n", "t", "k", "value"), rows)
     return 0
 

@@ -222,21 +222,21 @@ def _check_core_args(n: int, t: int, name: str) -> tuple[int, int]:
 
 
 def _ordered(
-    n_max: int, t: int, f: PartFilter, exact: bool
+    lo: int, hi: int, t: int, f: PartFilter, name: str
 ) -> Iterator[tuple[int, Partition]]:
-    """(n, partition) for the t-cores of size n_max passing the filter, or
-    of every size up to it unless exact, n ascending, each n reverse-lex.
+    """(n, partition) for the t-cores of size lo..hi passing the filter,
+    n ascending, each n reverse-lex; name is the caller's name for hi.
     One walk keeps z' and the weight of each walked core, t + 1 ints, in
     an array per size; the parts of a size are built and sorted when it
     is reached."""
-    n_max, t = _check_core_args(n_max, t, "n" if exact else "n_max")
-    if t > n_max:
-        for n in range(n_max if exact else 0, n_max + 1):
+    hi, t = _check_core_args(hi, t, name)
+    if t > hi:
+        for n in range(lo, hi + 1):
             for p in partitions_of(n, f):
                 yield n, p
         return
     by_size: defaultdict[int, array] = defaultdict(partial(array, "i"))
-    for n, z, w in _abacus.kept_vectors(t, n_max, exact, f):
+    for n, z, w in _abacus.kept_vectors(t, lo, hi, f):
         by_size[n].extend([*z, w])
     for n in sorted(by_size):
         zs = by_size.pop(n)
@@ -255,7 +255,7 @@ def t_cores_of(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> Iterator[Partiti
     """The t-core partitions of n passing the filter, each exactly once,
     in the same order as partitions_of restricted to t-cores.  The parts
     of every core of n are built and sorted before the first is yielded."""
-    return (p for _, p in _ordered(n, t, f, True))
+    return (p for _, p in _ordered(n, n, t, f, "n"))
 
 
 def t_cores_up_to(
@@ -264,7 +264,7 @@ def t_cores_up_to(
     """(n, partition) for every t-core of every n <= n_max passing the
     filter, n ascending, each n in the order of t_cores_of, from one walk
     over every size <= n_max."""
-    return _ordered(n_max, t, f, False)
+    return _ordered(0, n_max, t, f, "n_max")
 
 
 def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
@@ -274,4 +274,4 @@ def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
     n, t = _check_core_args(n, t, "n")
     if t > n:
         return sum(map(f.passes, iter_partition_parts(n)))
-    return sum(w for _, _, w in _abacus.kept_vectors(t, n, True, f))
+    return sum(w for _, _, w in _abacus.kept_vectors(t, n, n, f))

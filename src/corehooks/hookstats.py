@@ -4,25 +4,26 @@ The central quantity is the total number of k-hooks across all t-core
 partitions of n, optionally restricted to partitions avoiding a set of
 part values.  Totals come from the one walk of _abacus over the cores
 with no part below the least allowed value m, the points of N^(t-m): a
-range table is one walk over every core of size at most n_max, a point
-query one walk over the cores of size n.  The walk yields the cores of
-one prefix together, differing only in the last runner, so for each hook
-length a prefix costs O(t) and each of its cores O(1).  When the filter
-forbids no value in range the hooks of only one core of each conjugate
-pair are counted, for both, since conjugation keeps the size and the
-hooks.  Every count is an exact integer.
+table over the sizes lo..hi is one walk over the cores of those sizes,
+every n <= n_max for a range table and n alone for a point query.  The
+walk yields the cores of one prefix together, differing only in the last
+runner, so for each hook length a prefix costs O(t) and each of its
+cores O(1).  When the filter forbids no value in range the hooks of only
+one core of each conjugate pair are counted, for both, since conjugation
+keeps the size and the hooks.  Every count is an exact integer.
 
 The totals of listed hook lengths are tallied as columns, one list per k
 over the sizes and one of core counts: a point query has one row, and
-the chain checks compare adjacent value columns elementwise, so past the
-walk they cost a few C-level passes over the range and one record per n.
+the chain checks compare adjacent value columns elementwise into a
+verdict column, so past the walk they cost a few C-level passes over the
+range.  chain_records builds a BiasRecord only for the n a caller keeps;
 hook_count_table builds its Counter per n from the same columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import and_, eq, ge, le
 from typing import Sequence
 
@@ -34,6 +35,9 @@ FAILS = "FAILS"
 NOT_APPLICABLE = "NOT-APPLICABLE"
 
 _RELATIONS = {">=": ge, "<=": le, "=": eq}
+
+# (every relation holds, some core of n passes) -> verdict, else NOT-APPLICABLE
+_VERDICTS = {(True, True): HOLDS, (False, True): FAILS}
 
 
 class BiasRecord(namedtuple("BiasRecord", "n values verdict", defaults=(HOLDS,))):
@@ -60,16 +64,17 @@ def total_hook_count(
 ) -> int:
     """Total number of k-hooks over all t-core partitions of n whose parts
     pass the filter."""
-    return _hook_counts_at(n, t, (k,), f)[k]
+    ((total,),) = _hook_columns(n, n, t, (k,), f)
+    return total
 
 
-def _walk(n: int, t: int, f: PartFilter, exact: bool, name: str):
-    """(n, te, runs): the size n checked (name is its argument), the
-    runners te to use and the kept runs of the t-cores of size n, or of
-    every size up to n unless exact, that pass the filter."""
-    n, t = _check_core_args(n, t, name)
-    te = _engine_t(t, n)
-    return n, te, _abacus.kept_runs(te, n, exact, f)
+def _walk(lo: int, hi: int, t: int, f: PartFilter, name: str):
+    """(hi, te, runs): the size hi checked (name is its argument), the
+    runners te to use and the kept runs of the t-cores of size lo..hi
+    that pass the filter."""
+    hi, t = _check_core_args(hi, t, name)
+    te = _engine_t(t, hi)
+    return hi, te, _abacus.kept_runs(te, lo, hi, f)
 
 
 def _hook_lengths(ks: Sequence[int]) -> list[int]:
@@ -80,17 +85,17 @@ def _hook_lengths(ks: Sequence[int]) -> list[int]:
     return ks
 
 
-def _hook_counts_at(n: int, t: int, ks: Sequence[int], f: PartFilter) -> Counter:
-    """Total number of k-hooks for each k in ks over the t-core partitions
-    of n that pass the filter, in one walk over the cores of size n.  A k
-    with no hooks reads 0."""
-    n, te, runs = _walk(n, t, f, True, "n")
+def _hook_columns(lo: int, hi: int, t: int, ks: Sequence[int], f: PartFilter):
+    """columns[i][n - lo], the total ks[i]-hooks over the t-core partitions
+    of n that pass the filter for lo <= n <= hi, from one walk over the
+    cores of those sizes (one row for a point query, lo = hi).  Each k
+    must be a positive int; hi is named n in errors."""
+    hi, te, runs = _walk(lo, hi, t, f, "n")
     ks = [_integer(k, "k must be an integer") for k in ks]
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-    columns, _ = _abacus.hook_columns(runs, te, ks, n, n)
-    return Counter({k: v for k, (v,) in zip(ks, columns) if v})
+    return _abacus.hook_columns(runs, te, ks, lo, hi)[0]
 
 
 def hook_count_table(
@@ -107,7 +112,7 @@ def hook_count_table(
     core_counts[n] is the number of t-cores of n under the filter.
     Only positive counts are stored.
     """
-    n_max, te, runs = _walk(n_max, t, f, False, "n_max")
+    n_max, te, runs = _walk(0, n_max, t, f, "n_max")
     if ks is None:
         tables, core_counts = _abacus.hook_table(runs, te)
         return (
@@ -147,7 +152,18 @@ def cross_core_bias_table(
     comparing the values named by pairs, (t, k) for the total k-hooks over
     the t-cores of n, under the adjacent relations; each value may come
     from a different t."""
-    return chain_tables([pairs], n_lo, n_hi, relations, f)[0]
+    ((values, verdicts),) = chain_tables([pairs], n_lo, n_hi, relations, f)
+    return chain_records(pairs, values, verdicts, n_lo)
+
+
+def chain_records(pairs, values, verdicts, n_lo: int, only: str | None = None) -> list[BiasRecord]:
+    """The BiasRecords of one chain of pairs from its chain_tables columns
+    (values, verdicts), which start at n_lo: one per n, or one per n whose
+    verdict is only."""
+    rows = zip(count(n_lo), zip(*values), verdicts)
+    if only is not None:
+        rows = compress(rows, map(only.__eq__, verdicts))
+    return [BiasRecord(n, dict(zip(pairs, row)), v) for n, row, v in rows]
 
 
 def chain_tables(
@@ -156,16 +172,18 @@ def chain_tables(
     n_hi: int,
     relations: Sequence[str],
     f: PartFilter = EMPTY_FILTER,
-) -> list[list[BiasRecord]]:
-    """For each chain of (t, k) values, one BiasRecord per n in
-    [n_lo, n_hi] comparing the chain's values, the total k-hooks over the
-    t-cores of n, under the adjacent relations (the same for every chain).
+) -> list[tuple[list[list[int]], list[str]]]:
+    """For each chain of (t, k) values, (values, verdicts): one column per
+    value of the chain, the total k-hooks over the t-cores of n, and one
+    column of verdicts comparing them under the adjacent relations (the
+    same for every chain), each over n_lo..n_hi.
 
     The verdict is HOLDS when every adjacent pair of values satisfies its
     relation, FAILS otherwise, and NOT-APPLICABLE when no t-core of n
     passes the filter for any t of the chain (an empty universe,
-    distinguished from a checked truth).  Each t is swept once, for the
-    union of the ks it is paired with in any chain.
+    distinguished from a checked truth).  Each t is swept once, over the
+    sizes n_lo..n_hi alone, for the union of the ks it is paired with in
+    any chain.  chain_records turns the columns into BiasRecords.
     """
     chains = [
         [
@@ -200,12 +218,10 @@ def chain_tables(
     value_of: dict[tuple[int, int], list[int]] = {}
     counts_of: dict[int, list[int]] = {}
     for t, ks in ks_of.items():
-        _, te, runs = _walk(n_hi, t, f, False, "n_hi")
+        _, te, runs = _walk(n_lo, n_hi, t, f, "n_hi")
         ks = _hook_lengths(sorted(ks))
-        columns, core_counts = _abacus.hook_columns(runs, te, ks, 0, n_hi)
-        for k, column in zip(ks, columns):
-            value_of[t, k] = column[n_lo:]
-        counts_of[t] = core_counts[n_lo:]
+        columns, counts_of[t] = _abacus.hook_columns(runs, te, ks, n_lo, n_hi)
+        value_of.update(zip([(t, k) for k in ks], columns))
     out = []
     for pairs in chains:
         values = [value_of[p] for p in pairs]
@@ -214,8 +230,5 @@ def chain_tables(
             holds = map(and_, holds, map(op, a, b))
         # whether some t of the chain has a core of n
         cored = map(any, zip(*[counts_of[t] for t in dict.fromkeys(t for t, _ in pairs)]))
-        out.append([
-            BiasRecord(n, dict(zip(pairs, row)), (HOLDS if ok else FAILS) if c else NOT_APPLICABLE)
-            for n, row, ok, c in zip(range(n_lo, n_hi + 1), zip(*values), holds, cored)
-        ])
+        out.append((values, list(map(_VERDICTS.get, zip(holds, cored), repeat(NOT_APPLICABLE)))))
     return out

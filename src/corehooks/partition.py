@@ -10,6 +10,7 @@ hook length is divisible by t.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby, takewhile
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -187,21 +188,9 @@ class Partition:
         if not self.is_valid_cell(cell):
             raise ValueError(f"cell {tuple(cell)} is not a box of {self}")
         row, col = cell
-        out: set[Cell] = set()
-        for i in range(row, len(self._parts) + 1):
-            lam = self._parts[i - 1]
-            if lam < col:
-                break
-            for j in range(col, lam + 1):
-                out.add(Cell(i, j))
-        return out
+        rows = takewhile(col.__le__, self._parts[row - 1 :])
+        return {Cell(i, j) for i, lam in enumerate(rows, row) for j in range(col, lam + 1)}
 
     def multiplicity_view(self) -> list[tuple[int, int]]:
         """The partition as (value, multiplicity) pairs, values strictly decreasing."""
-        out: list[tuple[int, int]] = []
-        for p in self._parts:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + 1)
-            else:
-                out.append((p, 1))
-        return out
+        return [(v, len(list(run))) for v, run in groupby(self._parts)]

@@ -14,6 +14,7 @@ value is exact at any size.
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import isqrt
 from operator import add, sub
 from typing import Iterable
 
@@ -115,10 +116,8 @@ def triangular_indicator_series(order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     c = [0] * (order + 1)
-    k = 0
-    while k * (k + 1) // 2 <= order:
-        c[k * (k + 1) // 2] = 1
-        k += 1
+    for a in _triangular_upto(order):
+        c[a] = 1
     return TruncatedSeries(tuple(c))
 
 
@@ -128,26 +127,16 @@ def triple_triangular_series(order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     c = [0] * (order + 1)
-    m = 0
-    while True:
-        a = m * (m + 1) // 2
-        if a > order:
-            break
-        r = 0
-        while True:
-            b = a + r * (r + 1)
-            if b > order:
-                break
-            s = 0
-            while True:
-                e = b + s * (s + 1)
-                if e > order:
-                    break
-                c[e] += 1
-                s += 1
-            r += 1
-        m += 1
+    for a in _triangular_upto(order):
+        for b in _triangular_upto((order - a) // 2):
+            for e in _triangular_upto((order - a - 2 * b) // 2):
+                c[a + 2 * b + 2 * e] += 1
     return TruncatedSeries(tuple(c))
+
+
+def _triangular_upto(top: int) -> list[int]:
+    """The triangular numbers k*(k+1)/2 <= top, ascending."""
+    return [k * (k + 1) // 2 for k in range((isqrt(8 * top + 1) - 1) // 2 + 1)]
 
 
 def verify_identity(

@@ -77,21 +77,11 @@ def representable_flags(n_max: int) -> list[bool]:
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     flags = bytearray(n_max + 1)
-    x = 0
-    while x * x <= n_max:
-        a = x * x
-        y = 0
-        while a + 2 * y * y <= n_max:
-            b = a + 2 * y * y
-            z = 0
-            while True:
-                v = b + 2 * z * z
-                if v > n_max:
-                    break
-                flags[v] = 1
-                z += 1
-            y += 1
-        x += 1
+    for x in range(isqrt(n_max) + 1):
+        for y in range(isqrt((n_max - x * x) // 2) + 1):
+            b = x * x + 2 * y * y
+            for z in range(isqrt((n_max - b) // 2) + 1):
+                flags[b + 2 * z * z] = 1
     return [bool(v) for v in flags]
 
 

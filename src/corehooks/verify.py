@@ -27,7 +27,7 @@ from .generate import (
     iter_partition_parts,
     t_cores_up_to,
 )
-from .hookstats import FAILS, BiasRecord, bias_table, chain_tables, hook_count_table
+from .hookstats import FAILS, BiasRecord, bias_table, chain_records, chain_tables, hook_count_table
 from .partition import Cell, Partition, hook_lengths_of
 
 
@@ -182,7 +182,9 @@ def region_theorem_scan(
     the whole range).  When a list is passed as samples, the first
     samples_per_t positive witnesses per t, over every cell of every
     partition in enumeration order, are appended to it for reporting;
-    only these need every hook length of a diagram (hook_lengths_of).
+    only these need every hook length of a diagram (hook_lengths_of),
+    built only where the corner hook is at least twice the least t whose
+    samples are still pending.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
@@ -206,7 +208,8 @@ def region_theorem_scan(
                     violations.append(RegionWitness(
                         Partition._unchecked(parts, n), Cell(1, 1), corner, t, None
                     ))
-            if pending:
+            # a sample's hook is at least 2t and at most the corner hook
+            if pending and corner >= 2 * pending[0]:
                 hooks = hook_lengths_of(parts)
                 for t in pending:
                     found = _region_samples(parts, hooks, t)
@@ -274,9 +277,7 @@ def scan_conjecture_5core(n_max: int) -> list[BiasRecord]:
     every n.  Returns FAILS rows only; this reports, it does not assert."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    _, chains, relations, f = _CHAINS["conj15"]
-    (records,) = chain_tables(chains, 0, n_max, relations, f)
-    return [r for r in records if r.verdict == FAILS]
+    return _chain_failures("conj15", n_max)
 
 
 def necessity_scan(n_max: int) -> list[tuple[int, Partition, str]]:
@@ -312,18 +313,16 @@ class CheckResult(
 
 
 def bias_records_json(records) -> list[dict]:
-    out = []
-    for r in records:
-        out.append(
-            {
-                "n": r.n,
-                "verdict": r.verdict,
-                "values": {f"{t}.{k}": v for (t, k), v in r.values.items()},
-                # kept so report bytes stay stable; no table check has a witness
-                "witness": None,
-            }
-        )
-    return out
+    # "witness" is kept so report bytes stay stable; no table check has one
+    return [
+        {
+            "n": r.n,
+            "verdict": r.verdict,
+            "values": {f"{t}.{k}": v for (t, k), v in r.values.items()},
+            "witness": None,
+        }
+        for r in records
+    ]
 
 
 # The chain checks: name -> (description, chains of (t, k) values, the
@@ -354,10 +353,17 @@ _CHAINS = {
 }
 
 
-def _table_verdict(tables, n_max: int):
+def _chain_failures(name: str, n_max: int) -> list[BiasRecord]:
+    """The FAILS rows over n <= n_max of the _CHAINS row name, chain by
+    chain, from one chain_tables sweep; only these become BiasRecords."""
+    _, chains, relations, f = _CHAINS[name]
+    tables = zip(chains, chain_tables(chains, 0, n_max, relations, f))
+    return [r for pairs, table in tables for r in chain_records(pairs, *table, 0, FAILS)]
+
+
+def _table_verdict(fails: list[BiasRecord], n_max: int):
     """The failures (as json), summary tail and sorted failing n of the
-    BiasRecord lists in tables, a check over n <= n_max."""
-    fails = [r for records in tables for r in records if r.verdict == FAILS]
+    FAILS records of a check over n <= n_max."""
     failing_n = sorted({r.n for r in fails})
     tail = f"fails at n = {failing_n[:10]}" if fails else f"holds for all n <= {n_max}"
     return bias_records_json(fails), tail, failing_n
@@ -366,10 +372,8 @@ def _table_verdict(tables, n_max: int):
 def _run_chain(name: str, n_max: int):
     """The chain check of the _CHAINS row name: one chain_tables sweep,
     and the row's t-cores, each t once, as dump targets."""
-    _, chains, relations, f = _CHAINS[name]
-    failures, tail, failing_n = _table_verdict(
-        chain_tables(chains, 0, n_max, relations, f), n_max
-    )
+    failures, tail, failing_n = _table_verdict(_chain_failures(name, n_max), n_max)
+    _, chains, _, f = _CHAINS[name]
     ts = dict.fromkeys(t for pairs in chains for t, _ in pairs)
     return failures, tail, {"dump_targets": [(t, f) for t in ts], "failing_n": failing_n}
 
@@ -389,7 +393,8 @@ def _check_thm16(n_max: int):
     ell = _ladder_index(n_max // 3)
     n_form = 3 * ell * (ell + 1) // 2
     records = bias_table(4, [1, 3], 0, max(n_max, n_form), _NO_PARTS_1_2, ["="])
-    failures, tail, failing_n = _table_verdict([records[: n_max + 1]], n_max)
+    fails = [r for r in records[: n_max + 1] if r.verdict == FAILS]
+    failures, tail, failing_n = _table_verdict(fails, n_max)
     expected = {3 * L * (L + 1) // 2: L for L in range(1, ell + 1)}
     for r in records[: n_form + 1]:
         want = expected.get(r.n, 0)

@@ -188,36 +188,37 @@ def test_count_with_t_above_n_matches_walker(capsys, t):
     assert out.splitlines() == ["n,t,k,value"] + want
 
 
-def test_count_makes_one_pass_per_n(capsys, monkeypatch):
+def test_count_makes_one_walk_per_window(capsys, monkeypatch):
+    # t > n: one walk over the window 27..29 on hi + 1 = 30 runners
     calls = []
     real = _abacus.core_runs
 
-    def counted(t, m, n_max, exact, paired=False):
-        calls.append((m, n_max, exact))
-        return real(t, m, n_max, exact, paired)
+    def counted(t, m, lo, hi, paired=False):
+        calls.append((t, m, lo, hi))
+        return real(t, m, lo, hi, paired)
 
     monkeypatch.setattr(_abacus, "core_runs", counted)
     code, _, _ = run_cli(capsys, "count", "--t", "60", "--k", "2,7,30", "--n", "27..29")
     assert code == 0
-    assert calls == [(1, 27, True), (1, 28, True), (1, 29, True)]
+    assert calls == [(30, 1, 27, 29)]
 
 
-def test_restricted_count_makes_one_walk_per_n(capsys, monkeypatch):
-    # a filter with no part below 3 walks N^(t-3) once per n, never the
-    # lattice of every core
+def test_restricted_count_makes_one_walk(capsys, monkeypatch):
+    # a filter with no part below 3 walks N^(t-3) once for the window,
+    # never the lattice of every core
     calls = []
     real = _abacus.core_runs
 
-    def counted(t, m, n_max, exact, paired=False):
-        calls.append((t, m, n_max, exact))
-        return real(t, m, n_max, exact, paired)
+    def counted(t, m, lo, hi, paired=False):
+        calls.append((t, m, lo, hi))
+        return real(t, m, lo, hi, paired)
 
     monkeypatch.setattr(_abacus, "core_runs", counted)
     code, _, _ = run_cli(
         capsys, "count", "--t", "5", "--k", "1,3", "--n", "27..29", "--exclude", "1,2"
     )
     assert code == 0
-    assert calls == [(5, 3, 27, True), (5, 3, 28, True), (5, 3, 29, True)]
+    assert calls == [(5, 3, 27, 29)]
 
 
 def test_conj_scan_with_t_above_n(capsys):
@@ -345,6 +346,12 @@ RECORDED_SHA256 = [
     ("count --t 5 --k 1,3,6 --n 20000 --format json", 0, "c8f476d3265a934be3e765297c199a7e27afd997690ad5bf71f6d7bc6ef91adf"),
     ("count --t 6 --k 1,5 --n 150..160 --format json", 0, "e0f7ed35bb76d8d3c49a936dfeedaf843ac660855054db3e125394855d7a9d3d"),
     ("count --t 5 --k 1,3 --n 2000 --min-part 3 --format json", 0, "58b1c9095df0b147b3510c4c2901ff094d9776342bda435fb69129b9e575dc7d"),
+    # recorded while count --n lo..hi still made one walk per n and the
+    # region scan built every diagram while samples were pending
+    ("count --t 5 --k 1,3,6 --n 0..150 --format json", 0, "a62d6a38f976bb2a5cbd851de4cb2c7151325564ff5d34cb506fa265d3bc7068"),
+    ("count --t 4 --k 1,3 --n 95..100 --exclude 1,2", 0, "999ff30e656bb5257666176eace0f13f8699c1f8a1d009079dda065705130fd3"),
+    ("count --t 60 --k 2,7,30 --n 27..29 --format json", 0, "1dc35c2fc5a35d9b3f6a81116056ec978598d4f0ff07b5b88d5ead7400afb484"),
+    ("verify --check region --n-max 14 --format json", 0, "9ce6bb261f767cfd1837e0dcaa7e285cc7c9cc8affcfa797a0ff05aeabbc7c18"),
 ]
 
 

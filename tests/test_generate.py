@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,7 +227,7 @@ def test_conjugate_pair_of_weight_one_is_streamed_once_each():
     pair = [(5, 5, 2, 2, 1), (5, 4, 2, 2, 2)]
     assert Partition(pair[0]).conjugate().parts == pair[1]
     weights = Counter()
-    for _, z, w in _abacus.kept_vectors(5, 15, True, PartFilter()):
+    for _, z, w in _abacus.kept_vectors(5, 15, 15, PartFilter()):
         weights[_abacus.core_parts(z, 5)] += w
     assert [weights[parts] for parts in pair] == [1, 1]
     exact = [p.parts for p in t_cores_of(15, 5)]
@@ -253,7 +254,7 @@ def test_part_test_matches_passes(t):
     ]
     least = [_least_allowed(f) for f in filters]
     tests = [(f, m, _abacus.part_test(f, m, t, 60)) for f, m in zip(filters, least)]
-    for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, 60, False)):
+    for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, 0, 60)):
         parts = _partition_from_vector(vector_of_positions(z, t), t)
         assert sum(parts) == n
         for f, m, keep in tests:
@@ -286,26 +287,89 @@ NARROWED = [
 def test_kept_vectors_match_the_filter_on_parts(t, n_max):
     # A filter whose least allowed value m is 2 or more builds the cores
     # with no part below m on N^(t-m) before part_test runs.  The kept
-    # cores must be exactly those whose parts pass the filter, over a range
-    # and at two exact sizes, and the walk at m = 2 alone must yield
-    # exactly the cores with no part 1.
+    # cores must be exactly those whose parts pass the filter, over a range,
+    # at two exact sizes and over a window, and the walk at m = 2 alone must
+    # yield exactly the cores with no part 1.
     every = [
         (n, _abacus.core_parts(z, t))
-        for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, n_max, False))
+        for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, 0, n_max))
     ]
-    for exact, top in ((False, n_max), (True, n_max), (True, n_max - 1)):
-        sized = [(n, parts) for n, parts in every if n == top or not exact and n <= top]
+    for lo, hi in ((0, n_max), (n_max, n_max), (n_max - 1, n_max - 1), (n_max // 2, n_max - 3)):
+        sized = [(n, parts) for n, parts in every if lo <= n <= hi]
         for f in NARROWED:
             got = Counter(
                 (n, _abacus.core_parts(z, t), m)
-                for n, z, m in _abacus.kept_vectors(t, top, exact, f)
+                for n, z, m in _abacus.kept_vectors(t, lo, hi, f)
             )
             assert got == Counter((n, parts, 1) for n, parts in sized if f.passes(parts)), f
         got = Counter(
             (n, _abacus.core_parts(z, t), m)
-            for n, z, m in _abacus._each_core(_abacus.core_runs(t, 2, top, exact))
+            for n, z, m in _abacus._each_core(_abacus.core_runs(t, 2, lo, hi))
         )
         assert got == Counter((n, parts, 1) for n, parts in sized if 1 not in parts)
+
+
+# the largest size each t's window walks reach: the range walks of
+# test_kept_vectors_match_the_filter_on_parts
+_WINDOW_TOP = {2: 300, 3: 200, 4: 120, 5: 70, 6: 50, 7: 40, 8: 35, 9: 30}
+
+
+def _cores(runs):
+    """The (n, z', w) of runs as a Counter, z' frozen as a tuple."""
+    return Counter((n, tuple(z), w) for n, z, w in _abacus._each_core(runs))
+
+
+@lru_cache(maxsize=None)
+def _range_cores(t, paired):
+    return _cores(_abacus.core_runs(t, 1, 0, _WINDOW_TOP[t], paired))
+
+
+def _cut(cores, lo, hi):
+    return Counter({core: w for core, w in cores.items() if lo <= core[0] <= hi})
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_window_walk_is_the_range_walk_cut_to_the_window(t, data):
+    # core_runs(t, m, lo, hi) solves the last runner on the root interval
+    # for hi less the interval where n < lo.  It must yield exactly the
+    # cores of the range walk with lo <= n <= hi, with the same weights:
+    # every core paired and unpaired, and under every filter the cores
+    # that kept_runs keeps over the range up to the same hi.
+    hi = data.draw(st.integers(min_value=0, max_value=_WINDOW_TOP[t]), label="hi")
+    lo = data.draw(
+        st.one_of(st.just(0), st.just(hi), st.integers(min_value=0, max_value=hi)),
+        label="lo",
+    )
+    f = data.draw(st.sampled_from([PartFilter(), *NARROWED]), label="f")
+    for paired in (False, True):
+        got = _cores(_abacus.core_runs(t, 1, lo, hi, paired))
+        assert got == _cut(_range_cores(t, paired), lo, hi), paired
+    got = _cores(_abacus.kept_runs(t, lo, hi, f))
+    assert got == _cut(_cores(_abacus.kept_runs(t, 0, hi, f)), lo, hi), f
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_window_walk_matches_the_walker(t):
+    # small windows against the conftest walker, which shares nothing with
+    # the abacus: a weight-2 core stands for its conjugate too.  The
+    # windows include lo = 0, lo = hi and t > hi.
+    windows = [(0, 0), (0, 12), (1, 1), (6, 6), (7, 14), (13, 18), (3, t - 1), (t, t + 3)]
+    for f in [PartFilter(), *NARROWED]:
+        for lo, hi in windows:
+            want = Counter(
+                (n, parts)
+                for n, parts in walk_t_cores(t, hi, False, f.excluded, f.min_part)
+                if n >= lo
+            )
+            got = Counter()
+            for n, z, w in _abacus.kept_vectors(t, lo, hi, f):
+                parts = _abacus.core_parts(z, t)
+                got[n, parts] += 1
+                if w == 2:
+                    got[n, Partition(parts).conjugate().parts] += 1
+            assert got == want, (f, lo, hi)
 
 
 def test_restricted_4cores_are_thm16s_family():
@@ -341,7 +405,7 @@ def test_paired_weights_core_by_core(t):
     # core when it is self-conjugate.  The cores, their conjugates and
     # their charge vectors come from the walker and the conftest beads.
     weights = Counter()
-    for n, z, w in _abacus._each_core(_abacus.core_runs(t, 1, 40, False, True)):
+    for n, z, w in _abacus._each_core(_abacus.core_runs(t, 1, 0, 40, True)):
         parts = _abacus.core_parts(z, t)
         assert sum(parts) == n
         weights[parts] += w

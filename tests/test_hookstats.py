@@ -10,8 +10,9 @@ from corehooks.hookstats import (
     HOLDS,
     NOT_APPLICABLE,
     _engine_t,
-    _hook_counts_at,
+    _hook_columns,
     bias_table,
+    chain_records,
     chain_tables,
     cross_core_bias_table,
     hook_count_table,
@@ -103,7 +104,7 @@ def test_arguments_must_be_integers():
     with pytest.raises(ValueError, match="t must be an integer, got '4'"):
         total_hook_count(6, "4", 1)
     with pytest.raises(ValueError, match="k must be an integer, got '1'"):
-        _hook_counts_at(6, 4, ("1",), PartFilter())
+        _hook_columns(6, 6, 4, ("1",), PartFilter())
 
 
 @pytest.mark.parametrize("t", [3, 5])
@@ -113,9 +114,9 @@ def test_the_filter_alone_decides_pairing(monkeypatch, t):
     seen = []
     real = _abacus.core_runs
 
-    def recorded(t, m, n_max, exact, paired=False):
+    def recorded(t, m, lo, hi, paired=False):
         seen.append(paired)
-        return real(t, m, n_max, exact, paired)
+        return real(t, m, lo, hi, paired)
 
     monkeypatch.setattr(_abacus, "core_runs", recorded)
     n = 20
@@ -132,7 +133,7 @@ def test_the_filter_alone_decides_pairing(monkeypatch, t):
             lambda: list(t_cores_up_to(n, t, f)),
             lambda: count_t_cores(n, t, f),
             lambda: hook_count_table(t, n, f, ks=(1, 2)),
-            lambda: _hook_counts_at(n, t, (1, 2), f),
+            lambda: _hook_columns(n, n, t, (1, 2), f),
         ]
         for read in readers:
             seen.clear()
@@ -233,20 +234,30 @@ def test_chain_tables_match_the_walker(excluded):
             hooks[t][n].update(naive_hooks(parts))
             cores[t][n] += 1
     tables = chain_tables(chains, n_lo, n_hi, ["<="], f)
-    verdicts = set()
-    for pairs, records in zip(chains, tables):
-        assert [r.n for r in records] == list(range(n_lo, n_hi + 1))
-        for r in records:
-            values = [hooks[t][r.n][k] for t, k in pairs]
-            assert r.values == dict(zip(pairs, values)), (pairs, r.n)
-            if not any(cores[t][r.n] for t, _ in pairs):
+    seen = set()
+    for pairs, (columns, verdicts) in zip(chains, tables):
+        # one value column per pair and one verdict column, over n_lo..n_hi
+        assert len(columns) == len(pairs)
+        assert {len(verdicts), *map(len, columns)} == {n_hi - n_lo + 1}
+        want_rows = []
+        for n, row, verdict in zip(range(n_lo, n_hi + 1), zip(*columns), verdicts):
+            values = [hooks[t][n][k] for t, k in pairs]
+            assert list(row) == values, (pairs, n)
+            if not any(cores[t][n] for t, _ in pairs):
                 want = NOT_APPLICABLE
             else:
                 want = HOLDS if values[0] <= values[1] else FAILS
-            assert r.verdict == want, (pairs, r.n)
-            verdicts.add(r.verdict)
+            assert verdict == want, (pairs, n)
+            want_rows.append((n, dict(zip(pairs, values)), want))
+            seen.add(verdict)
+        # chain_records builds every row, or the rows of one verdict alone
+        records = chain_records(pairs, columns, verdicts, n_lo)
+        assert [tuple(r) for r in records] == want_rows
+        for only in (HOLDS, FAILS, NOT_APPLICABLE):
+            kept = chain_records(pairs, columns, verdicts, n_lo, only)
+            assert kept == [r for r in records if r.verdict == only], only
     if excluded == {2}:
-        assert verdicts == {HOLDS, FAILS, NOT_APPLICABLE}
+        assert seen == {HOLDS, FAILS, NOT_APPLICABLE}
 
 
 def test_box_conservation_small():
@@ -366,18 +377,19 @@ def test_run_tally_matches_diagram_hooks(t, n_max):
         assert all(type(row) is Counter and all(row.values()) for row in tables), f
         sizes = sorted({0, 1, 2, n_max // 2, n_max - 1, n_max})
         for n in sizes:
-            assert _hook_counts_at(n, t, ks, f) == want[n], (f, n)
+            columns = _hook_columns(n, n, t, ks, f)
+            assert {k: v for k, (v,) in zip(ks, columns) if v} == want[n], (f, n)
         if f != PartFilter():
             continue  # the unpaired reference walks every core, unfiltered
         columns, core_counts = _abacus.hook_columns(
-            _abacus.core_runs(te, 1, n_max, False), te, ks, 0, n_max
+            _abacus.core_runs(te, 1, 0, n_max), te, ks, 0, n_max
         )
         assert [{k: v for k, v in zip(ks, row) if v} for row in zip(*columns)] == want
         assert core_counts == counts
         for n in sizes:
             tn = _engine_t(t, n)
             columns, core_counts = _abacus.hook_columns(
-                _abacus.core_runs(tn, 1, n, True), tn, ks, n, n
+                _abacus.core_runs(tn, 1, n, n), tn, ks, n, n
             )
             # a point query has one row
             assert len(core_counts) == 1 and all(len(column) == 1 for column in columns)
@@ -400,7 +412,7 @@ def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch)
 
     monkeypatch.setattr(_abacus, "hook_columns", counted)
     tables, core_counts = hook_count_table(5, 120, ks=(1, 3))
-    every = [(n, list(z)) for n, z, _ in _abacus._each_core(_abacus.core_runs(5, 1, 120, False))]
+    every = [(n, list(z)) for n, z, _ in _abacus._each_core(_abacus.core_runs(5, 1, 0, 120))]
     x = [charge_vector_of(_abacus.core_parts(z, 5), 5) for _, z in every]
     assert len(seen) == sum(1 for v in x if v[0] + v[4] >= 0)
     want, want_counts = real(((z, 1, [(n, z[1], 1)]) for n, z in every), 5, (1, 3), 0, 120)
@@ -431,7 +443,7 @@ def _one_minus_last(x):
 @pytest.mark.parametrize("t,n_max", [(3, 600), (4, 300), (5, 120), (6, 60), (7, 40)])
 def test_one_hooks_minus_last_hooks_closed_form(t, n_max):
     # per core, so a_{t,1}(n) >= a_{t,t-1}(n) for every n
-    for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, n_max, False)):
+    for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, 0, n_max)):
         d = _one_minus_last(vector_of_positions(z, t))
         run = [(z, 1, [(n, z[1], 1)])]
         (ones,), (lasts,) = _abacus.hook_columns(run, t, (1, t - 1), n, n)[0]

@@ -255,13 +255,13 @@ def test_thm16_sweeps_its_table_once(monkeypatch):
     calls = []
     real = _abacus.core_runs
 
-    def counted(t, m, n_max, exact, paired=False):
-        calls.append((t, m, n_max, exact))
-        return real(t, m, n_max, exact, paired)
+    def counted(t, m, lo, hi, paired=False):
+        calls.append((t, m, lo, hi))
+        return real(t, m, lo, hi, paired)
 
     monkeypatch.setattr(_abacus, "core_runs", counted)
     assert run_check("thm16", 300).holds
-    assert calls == [(4, 3, 300, False)]
+    assert calls == [(4, 3, 0, 300)]
 
 
 @pytest.mark.parametrize("name", ["thm16", "thm18"])
@@ -277,13 +277,13 @@ def test_thm19_sweeps_each_t_once(monkeypatch):
     calls = []
     real = _abacus.core_runs
 
-    def counted(t, m, n_max, exact, paired=False):
-        calls.append((t, n_max, exact))
-        return real(t, m, n_max, exact, paired)
+    def counted(t, m, lo, hi, paired=False):
+        calls.append((t, lo, hi))
+        return real(t, m, lo, hi, paired)
 
     monkeypatch.setattr(_abacus, "core_runs", counted)
     assert run_check("thm19", 300).holds
-    assert calls == [(2, 300, False), (4, 300, False)]
+    assert calls == [(2, 0, 300), (4, 0, 300)]
 
 
 def test_thm19_reports_failures_of_both_chains(monkeypatch, capsys):
@@ -432,6 +432,26 @@ def test_conj15_failures_through_450():
     got = {r.n: tuple(r.values[(5, k)] for k in (1, 3, 6)) for r in fails}
     assert got == CONJ15_FAILS_TO_450
     assert [r.n for r in fails] == sorted(CONJ15_FAILS_TO_450)
+
+
+def test_chain_checks_build_records_only_for_failing_n(monkeypatch):
+    # chain_tables hands back columns; a record is built for a failing n
+    # alone, so a holding check builds none
+    from corehooks import hookstats
+
+    made = []
+    real = hookstats.BiasRecord
+
+    def counted(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(hookstats, "BiasRecord", counted)
+    assert run_check("thm13", 800).holds
+    assert made == []
+    fails = scan_conjecture_5core(220)
+    assert [r.n for r in fails] == [93, 213]
+    assert made == fails
 
 
 def test_conj15_failures_through_1200():
