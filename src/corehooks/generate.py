@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict, namedtuple
 from functools import partial
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from operator import index
 from typing import Iterable, Iterator
 
@@ -67,53 +67,18 @@ class PartFilter(namedtuple("PartFilter", "excluded min_part")):
 EMPTY_FILTER = PartFilter()
 
 
-def _next_partition(parts: list[int]) -> bool:
-    """Advance parts to the next partition of the same total in
-    reverse-lexicographic order; False when parts was the last one."""
-    # find the rightmost part larger than 1
-    i = len(parts) - 1
-    while i >= 0 and parts[i] == 1:
-        i -= 1
-    if i < 0:
-        return False
-    rem = len(parts) - i  # the 1s plus one unit borrowed below
-    parts[i] -= 1
-    cap = parts[i]
-    del parts[i + 1 :]
-    while rem > 0:
-        nxt = cap if cap < rem else rem
-        parts.append(nxt)
-        rem -= nxt
-    return True
-
-
-def iter_partition_parts(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as raw part tuples, reverse-lexicographic."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n == 0:
-        yield ()
-        return
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        if not _next_partition(parts):
-            return
-
-
-def partitions_of(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[Partition]:
-    """All partitions of n passing the filter, reverse-lexicographic."""
-    for parts in iter_partition_parts(n):
-        if f.passes(parts):
-            yield Partition._unchecked(parts, n)
-
-
-# Remainders up to this size are finished from a table of texts: 3,810
-# strings when every part is allowed.
-_SUFFIX_MAX = 14
+# Remainders up to min(n // 2, _SUFFIX_MAX) are finished from a table
+# built per call, at most 4,508 suffixes; n // 2 keeps a small n from
+# building rows that cost more than the prefixes they save.
+_SUFFIX_MAX = 22
 
 # Lines per chunk of the text streams that enum writes.
 _CHUNK_LINES = 4096
+
+# The two forms the walk builds a partition in: (the head of part v, the
+# separator between parts, the end of a partition).
+_TEXT = (str, ",", "]\n")
+_TUPLE = (lambda v: (v,), (), ())
 
 
 def _min_caps(n: int, f: PartFilter) -> list[int]:
@@ -134,77 +99,116 @@ def _min_caps(n: int, f: PartFilter) -> list[int]:
     return caps
 
 
-def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]:
-    """The text lines ("[6,3,2,1]\\n") of the partitions of n passing the
-    filter, in the order and with the bytes of parts_text over
-    partitions_of(n, f).  No chunk is empty.
+def _suffix_blocks(n: int, f: PartFilter, form) -> Iterator[tuple]:
+    """(head, block) for the partitions of n passing the filter, in
+    reverse-lexicographic order and in the given form (_TEXT or _TUPLE):
+    each partition is head + one suffix of block, head joins the heads of
+    its leading parts and every suffix begins with a separator.
 
     Only allowed part values are ever tried, and a part is placed only
     when the remainder still has a partition into allowed parts no larger
-    than it (_min_caps), so every prefix walked ends in at least one line
-    and a filtered n costs its output, not p(n).  Remainders of at most
-    _SUFFIX_MAX are finished from a table of suffix texts ",a,b]\\n" built
-    once per call; longer prefixes are walked with an explicit stack, so
-    nothing recurses however many parts a partition has.  A prefix and its
-    block of suffixes are one join, and a chunk ends with the block that
-    brings it to _CHUNK_LINES lines, so it has less than one block more.
+    than it (_min_caps), so every prefix walked ends in at least one
+    partition.  Remainders r of at most min(n // 2, _SUFFIX_MAX) are
+    finished from a table built once per call: row r holds the suffixes
+    of the partitions of r, reverse-lexicographic, so those with parts of
+    at most k are a tail of it, and each is a separator and a head
+    prepended to a suffix of a smaller row.  Longer prefixes are walked
+    with an explicit stack, so nothing recurses however many parts a
+    partition has.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    head_of, sep, end = form
     if n == 0:
-        yield "[]\n"  # the empty partition passes every filter
+        # the empty partition passes every filter: an empty head, then end
+        yield end[:0], [end]
         return
+    heads = list(map(head_of, range(n + 1)))
     caps = _min_caps(n, f)
     lo = f.min_part
     excluded = f.excluded
-    strs = [str(v) for v in range(n + 1)]
 
     def allowed_down_from(c: int) -> Iterator[int]:
         values = range(c, lo - 1, -1)
         return filterfalse(excluded.__contains__, values) if excluded else iter(values)
 
-    # suffix[r][k]: the texts ",a,b]\n" of the partitions of r into allowed
-    # parts <= k, reverse-lexicographic
-    top = min(n, _SUFFIX_MAX)
-    suffix = [[["]\n"]]]
+    # rows[r][starts[r][k]:]: the suffixes of the partitions of r into
+    # allowed parts <= k
+    top = min(n // 2, _SUFFIX_MAX)
+    rows = [[end]]
+    starts = [[0]]
     for r in range(1, top + 1):
-        row = [[]]
-        for k in range(1, r + 1):
-            below = row[k - 1]
-            if f.allows(k):
-                head = "," + strs[k]
-                below = [head + s for s in suffix[r - k][min(k, r - k)]] + below
-            row.append(below)
-        suffix.append(row)
+        row: list = []
+        start = [0] * (r + 1)
+        for k in range(r, 0, -1):
+            start[k] = len(row)
+            if k >= lo and k not in excluded:
+                q = r - k
+                row += map((sep + heads[k]).__add__, rows[q][starts[q][k if k < q else q] :])
+        rows.append(row)
+        starts.append(start)
 
     # Each frame is (head length, remainder, part values to try).  text
     # holds the head of the newest frame, which begins with the head of
-    # every frame below it, so one string serves the whole stack.
-    text = "["
-    stack = [(1, n, allowed_down_from(n))]
-    blocks: list[str] = []
-    lines = 0
+    # every frame below it, so one sequence serves the whole stack.
+    text = end[:0]
+    stack = [(0, n, allowed_down_from(n))]
     while stack:
         head_len, r, values = stack[-1]
         for v in values:
             rest = r - v
             if caps[rest] > v:
                 continue
-            line_head = text[:head_len] + strs[v]
-            if rest <= _SUFFIX_MAX:
-                block = suffix[rest][min(v, rest)]  # each suffix ends its line
-                blocks.append(line_head + line_head.join(block))
-                lines += len(block)
-                if lines >= _CHUNK_LINES:
-                    yield "".join(blocks)
-                    blocks = []
-                    lines = 0
+            head = text[:head_len] + heads[v]
+            cap = v if v < rest else rest
+            if rest <= top:
+                yield head, rows[rest][starts[rest][cap] :]
             else:
-                text = line_head + ","
-                stack.append((len(text), rest, allowed_down_from(min(v, rest))))
+                text = head + sep
+                stack.append((len(text), rest, allowed_down_from(cap)))
                 break
         else:
             stack.pop()
+
+
+def _parts(n: int, f: PartFilter) -> Iterator[tuple[int, ...]]:
+    """The part tuples of the partitions of n passing the filter."""
+    for head, block in _suffix_blocks(n, f, _TUPLE):
+        yield from map(head.__add__, block)
+
+
+def iter_partition_parts(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as raw part tuples, reverse-lexicographic: the
+    walk of partition_text_chunks, each partition built as a tuple."""
+    return _parts(n, EMPTY_FILTER)
+
+
+def partitions_of(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[Partition]:
+    """All partitions of n passing the filter, reverse-lexicographic; like
+    partition_text_chunks, a filtered n costs its output, not p(n)."""
+    return map(Partition._unchecked, _parts(n, f), repeat(n))
+
+
+def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]:
+    """The text lines ("[6,3,2,1]\\n") of the partitions of n passing the
+    filter, in the order and with the bytes of parts_text over
+    partitions_of(n, f), from the walk of _suffix_blocks: a filtered n
+    costs its output, not p(n).  No chunk is empty.
+
+    A prefix and its block of suffixes are one join, and a chunk ends
+    with the block that brings it to _CHUNK_LINES lines, so it has less
+    than one block more.
+    """
+    blocks: list[str] = []
+    lines = 0
+    for head, block in _suffix_blocks(n, f, _TEXT):
+        head = "[" + head  # each suffix ends its line
+        blocks.append(head + head.join(block))
+        lines += len(block)
+        if lines >= _CHUNK_LINES:
+            yield "".join(blocks)
+            blocks = []
+            lines = 0
     if blocks:
         yield "".join(blocks)
 
@@ -273,5 +277,5 @@ def count_t_cores(n: int, t: int, f: PartFilter = EMPTY_FILTER) -> int:
     filter one core of each conjugate pair is counted with its weight."""
     n, t = _check_core_args(n, t, "n")
     if t > n:
-        return sum(map(f.passes, iter_partition_parts(n)))
+        return sum(len(block) for _, block in _suffix_blocks(n, f, _TUPLE))
     return sum(w for _, _, w in _abacus.kept_vectors(t, n, n, f))

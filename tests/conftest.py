@@ -14,17 +14,21 @@ from math import gcd, isqrt
 from hypothesis import strategies as st
 
 
-def naive_partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
-    """All partitions of n with parts bounded by max_part, largest part
-    first, by simple recursion."""
+def naive_partitions(
+    n: int, max_part: int | None = None, allowed: frozenset[int] | None = None
+) -> list[tuple[int, ...]]:
+    """All partitions of n with parts bounded by max_part and, when
+    allowed is given, drawn from it, largest part first, by simple
+    recursion."""
     if max_part is None or max_part > n:
         max_part = n
     if n == 0:
         return [()]
     out = []
     for first in range(max_part, 0, -1):
-        for rest in naive_partitions(n - first, first):
-            out.append((first,) + rest)
+        if allowed is None or first in allowed:
+            for rest in naive_partitions(n - first, first, allowed):
+                out.append((first,) + rest)
     return out
 
 

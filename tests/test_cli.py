@@ -305,6 +305,22 @@ def test_filtered_enum_costs_its_output(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_enum_peak_memory_is_bounded():
+    # p(60) = 966,467 lines, about 30 MB of text: neither the output nor
+    # the suffix table may be held whole.  The child reads its own VmHWM;
+    # ru_maxrss would carry the high-water RSS of pytest across exec.
+    child = (
+        "from corehooks.cli import main\n"
+        "code = main(['enum', '--n', '60', '--out', '/dev/null'])\n"
+        "print(code, [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0])"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+    code, _, kib, unit = proc.stdout.split()
+    assert (code, unit, proc.stderr) == ("0", "kB", "")
+    assert int(kib) < 40 * 1024
+
+
 def test_enum_of_large_n_streams_into_closed_pipe():
     # p(2000) has 45 digits: only a streaming enum can print its first lines
     proc = subprocess.Popen(
@@ -352,6 +368,14 @@ RECORDED_SHA256 = [
     ("count --t 4 --k 1,3 --n 95..100 --exclude 1,2", 0, "999ff30e656bb5257666176eace0f13f8699c1f8a1d009079dda065705130fd3"),
     ("count --t 60 --k 2,7,30 --n 27..29 --format json", 0, "1dc35c2fc5a35d9b3f6a81116056ec978598d4f0ff07b5b88d5ead7400afb484"),
     ("verify --check region --n-max 14 --format json", 0, "9ce6bb261f767cfd1837e0dcaa7e285cc7c9cc8affcfa797a0ff05aeabbc7c18"),
+    # recorded while every remainder up to 14 was finished from the suffix
+    # table and partitions_of still walked every partition of n; each of
+    # these reaches remainders beyond 14
+    ("enum --n 46", 0, "c883fc674d28098fc1921b34a4d4e9be40416947cb17b596919b99ea84562940"),
+    ("enum --n 60 --min-part 4", 0, "dede49d6fed2e17d90f20ed81d7206dbf87e5441d9d771c1c3790024c8eb5b33"),
+    ("enum --n 90 --min-part 7", 0, "b942d2962c4ce8b6bd71fc9185cdfb2b57f8a23227a4892f324cbf2de7341922"),
+    ("enum --n 70 --exclude 1,3,5", 0, "c3616a569930d210bc7367378e8c73c57d7904fe80967d9eb223480dc23fdad8"),
+    ("verify --check region --n-max 25 --format json", 0, "f6ab64f6d42ae6cf251494bb187c42d900b896a231f9063f3d384bcbaeeef247"),
 ]
 
 

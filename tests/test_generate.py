@@ -502,9 +502,10 @@ def _chunks_checked(n, f):
     # a chunk is cut after the suffix block that brings it to _CHUNK_LINES
     # lines, so each but the last holds at least that many and every one
     # less than that plus the largest block: the partitions of some
-    # remainder r <= _SUFFIX_MAX into allowed parts up to a cap
+    # remainder r <= min(n // 2, _SUFFIX_MAX) into allowed parts up to a cap
     largest = max(
-        sum(1 for _ in partitions_of(r, f)) for r in range(min(n, generate._SUFFIX_MAX) + 1)
+        sum(1 for _ in partitions_of(r, f))
+        for r in range(min(n // 2, generate._SUFFIX_MAX) + 1)
     )
     assert all(size < generate._CHUNK_LINES + largest for size in sizes)
     assert all(size >= generate._CHUNK_LINES for size in sizes[:-1])
@@ -525,12 +526,41 @@ def _chunks_checked(n, f):
     ids=["all", "no1", "no12", "no25", "no13", "min3", "min4"],
 )
 def test_partition_text_matches_parts_text(monkeypatch, f):
-    # n = 0..32 crosses the suffix table bound of 14; at 7 lines to a
-    # chunk most n are cut into several
+    # n = 0..32 has suffix tables of up to n // 2 = 16 rows; at 7 lines to
+    # a chunk most n are cut into several
     for chunk_lines in (generate._CHUNK_LINES, 7):
         monkeypatch.setattr(generate, "_CHUNK_LINES", chunk_lines)
         for n in range(33):
             assert _chunks_checked(n, f) == _text_oracle(n, f), (n, chunk_lines)
+
+
+# n // 2 is at least the suffix table's cap of 22, and the filters keep
+# the outputs small enough for the recursive oracle
+BEYOND_CAP = [
+    (46, PartFilter(min_part=4)),
+    (50, PartFilter(excluded=frozenset({1, 2, 3, 5, 8}))),
+    (60, PartFilter(min_part=6)),
+    (64, PartFilter(excluded=frozenset({1, 2, 3, 4, 5, 6, 9, 11}))),
+    (90, PartFilter(min_part=9)),
+    (90, PartFilter(excluded=frozenset({1, 2, 3, 4, 5, 6, 7, 10}))),
+]
+
+
+@pytest.mark.parametrize("n,f", BEYOND_CAP, ids=[f"{n}-{i}" for i, (n, _) in enumerate(BEYOND_CAP)])
+def test_walk_beyond_suffix_cap_matches_naive(n, f):
+    allowed = frozenset(v for v in range(1, n + 1) if f.allows(v))
+    want = naive_partitions(n, allowed=allowed)
+    assert [p.parts for p in partitions_of(n, f)] == want
+    assert "".join(partition_text_chunks(n, f)) == "".join(parts_text(p) + "\n" for p in want)
+    assert count_t_cores(n, n + 1, f) == len(want)
+
+
+@pytest.mark.parametrize(
+    "f", [PartFilter(min_part=5), PartFilter(excluded=frozenset({1, 2, 4, 7}))], ids=["min5", "no1247"]
+)
+def test_count_t_cores_above_n_counts_filtered_partitions(f):
+    allowed = frozenset(v for v in range(1, 41) if f.allows(v))
+    assert count_t_cores(40, 50, f) == len(naive_partitions(40, allowed=allowed))
 
 
 def test_partition_text_with_every_part_excluded():
