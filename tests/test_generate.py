@@ -490,9 +490,20 @@ def test_iter_partition_parts_rejects_negative():
         list(iter_partition_parts(-1))
 
 
+@lru_cache(maxsize=None)
+def _naive_filtered(n, allowed):
+    return naive_partitions(n, allowed=allowed)
+
+
+def _naive_of(n, f):
+    """The partitions of n that pass f, by the conftest recursion over the
+    allowed parts: independent of the suffix walk under test."""
+    return _naive_filtered(n, frozenset(v for v in range(1, n + 1) if f.allows(v)))
+
+
 def _text_oracle(n, f):
-    """The lines of partition_text_chunks from the part tuple stream."""
-    return "".join(parts_text(p.parts) + "\n" for p in partitions_of(n, f))
+    """The lines of partition_text_chunks from the naive partitions."""
+    return "".join(parts_text(p) + "\n" for p in _naive_of(n, f))
 
 
 def _chunks_checked(n, f):
@@ -503,10 +514,7 @@ def _chunks_checked(n, f):
     # lines, so each but the last holds at least that many and every one
     # less than that plus the largest block: the partitions of some
     # remainder r <= min(n // 2, _SUFFIX_MAX) into allowed parts up to a cap
-    largest = max(
-        sum(1 for _ in partitions_of(r, f))
-        for r in range(min(n // 2, generate._SUFFIX_MAX) + 1)
-    )
+    largest = max(len(_naive_of(r, f)) for r in range(min(n // 2, generate._SUFFIX_MAX) + 1))
     assert all(size < generate._CHUNK_LINES + largest for size in sizes)
     assert all(size >= generate._CHUNK_LINES for size in sizes[:-1])
     return "".join(chunks)
@@ -534,33 +542,29 @@ def test_partition_text_matches_parts_text(monkeypatch, f):
             assert _chunks_checked(n, f) == _text_oracle(n, f), (n, chunk_lines)
 
 
-# n // 2 is at least the suffix table's cap of 22, and the filters keep
-# the outputs small enough for the recursive oracle
-BEYOND_CAP = [
+# filtered walks against the naive recursion, with t > n for the count:
+# n // 2 reaches the suffix table's cap of 22 in all but the last two
+# rows, and the filters keep the outputs small enough for the oracle
+NAIVE_CHECKED = [
     (46, PartFilter(min_part=4)),
     (50, PartFilter(excluded=frozenset({1, 2, 3, 5, 8}))),
     (60, PartFilter(min_part=6)),
     (64, PartFilter(excluded=frozenset({1, 2, 3, 4, 5, 6, 9, 11}))),
     (90, PartFilter(min_part=9)),
     (90, PartFilter(excluded=frozenset({1, 2, 3, 4, 5, 6, 7, 10}))),
+    (40, PartFilter(min_part=5)),
+    (40, PartFilter(excluded=frozenset({1, 2, 4, 7}))),
 ]
 
 
-@pytest.mark.parametrize("n,f", BEYOND_CAP, ids=[f"{n}-{i}" for i, (n, _) in enumerate(BEYOND_CAP)])
-def test_walk_beyond_suffix_cap_matches_naive(n, f):
-    allowed = frozenset(v for v in range(1, n + 1) if f.allows(v))
-    want = naive_partitions(n, allowed=allowed)
-    assert [p.parts for p in partitions_of(n, f)] == want
-    assert "".join(partition_text_chunks(n, f)) == "".join(parts_text(p) + "\n" for p in want)
-    assert count_t_cores(n, n + 1, f) == len(want)
-
-
 @pytest.mark.parametrize(
-    "f", [PartFilter(min_part=5), PartFilter(excluded=frozenset({1, 2, 4, 7}))], ids=["min5", "no1247"]
+    "n,f", NAIVE_CHECKED, ids=[f"{n}-{i}" for i, (n, _) in enumerate(NAIVE_CHECKED)]
 )
-def test_count_t_cores_above_n_counts_filtered_partitions(f):
-    allowed = frozenset(v for v in range(1, 41) if f.allows(v))
-    assert count_t_cores(40, 50, f) == len(naive_partitions(40, allowed=allowed))
+def test_filtered_walk_matches_naive(n, f):
+    want = _naive_of(n, f)
+    assert [p.parts for p in partitions_of(n, f)] == want
+    assert "".join(partition_text_chunks(n, f)) == _text_oracle(n, f)
+    assert count_t_cores(n, n + 10, f) == len(want)
 
 
 def test_partition_text_with_every_part_excluded():
