@@ -154,9 +154,11 @@ def core_runs(
     for s, w in prefixes():
         b = g_m - 2 * s
         c0 = w - s * s
-        disc = b * b + 2 * q * (budget - c0)  # (q*x + b)^2 <= disc within the budget
-        if disc < 0:
-            continue
+        # (q*x + b)^2 <= disc within the budget.  disc >= 0: each prefix
+        # yielded at c = m + 1 lies inside the real bound, which with one
+        # free runner is this quadratic's own minimum, and both isqrt floors
+        # above round inward; at m = t - 1, c0 = 0 and disc = b*b + 4*q*hi.
+        disc = b * b + 2 * q * (budget - c0)
         root = isqrt(disc)
         if not below:  # one size, lo = hi: q*x + b is root or -root
             if root * root != disc:

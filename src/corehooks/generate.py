@@ -19,20 +19,10 @@ from array import array
 from collections import defaultdict, namedtuple
 from functools import partial
 from itertools import filterfalse, repeat
-from operator import index
 from typing import Iterable, Iterator
 
 from . import _abacus
-from .partition import Partition, conjugate_parts
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; a ValueError saying what must be an integer for a
-    float, a string or anything else that is not one."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what}, got {value!r}") from None
+from .partition import Partition, _integer, conjugate_parts
 
 
 class PartFilter(namedtuple("PartFilter", "excluded min_part")):
@@ -42,10 +32,8 @@ class PartFilter(namedtuple("PartFilter", "excluded min_part")):
     __slots__ = ()
 
     def __new__(cls, excluded: Iterable[int] = frozenset(), min_part: int = 1):
-        min_part = _integer(min_part, "min_part must be an integer")
-        if min_part < 1:
-            raise ValueError(f"min_part must be positive, got {min_part}")
-        excl = frozenset(_integer(v, "excluded values must be integers") for v in excluded)
+        min_part = _integer(min_part, "min_part", 1)
+        excl = frozenset(_integer(v, "excluded values", kind="integers") for v in excluded)
         if any(v < 1 for v in excl):
             raise ValueError(f"excluded values must be positive, got {sorted(excl)}")
         return super().__new__(cls, excl, min_part)
@@ -116,8 +104,7 @@ def _suffix_blocks(n: int, f: PartFilter, form) -> Iterator[tuple]:
     with an explicit stack, so nothing recurses however many parts a
     partition has.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    n = _integer(n, "n", 0)
     head_of, sep, end = form
     if n == 0:
         # the empty partition passes every filter: an empty head, then end
@@ -216,13 +203,8 @@ def partition_text_chunks(n: int, f: PartFilter = EMPTY_FILTER) -> Iterator[str]
 def _check_core_args(n: int, t: int, name: str) -> tuple[int, int]:
     """(n, t) read as ints and checked: t >= 2, n >= 0.  name is the
     caller's name for the size n, the one its errors give."""
-    t = _integer(t, "t must be an integer")
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    n = _integer(n, f"{name} must be an integer")
-    if n < 0:
-        raise ValueError(f"{name} must be non-negative, got {n}")
-    return n, t
+    t = _integer(t, "t", 2)
+    return _integer(n, name, 0), t
 
 
 def _ordered(

@@ -28,7 +28,8 @@ from operator import and_, eq, ge, le
 from typing import Sequence
 
 from . import _abacus
-from .generate import EMPTY_FILTER, PartFilter, _check_core_args, _integer
+from .generate import EMPTY_FILTER, PartFilter, _check_core_args
+from .partition import _integer
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -79,7 +80,7 @@ def _walk(lo: int, hi: int, t: int, f: PartFilter, name: str):
 
 def _hook_lengths(ks: Sequence[int]) -> list[int]:
     """ks as a list of ints, each checked to be a positive integer."""
-    ks = [_integer(k, "hook lengths must be integers") for k in ks]
+    ks = [_integer(k, "hook lengths", kind="integers") for k in ks]
     if any(k < 1 for k in ks):
         raise ValueError(f"hook lengths must be positive, got {ks}")
     return ks
@@ -91,10 +92,7 @@ def _hook_columns(lo: int, hi: int, t: int, ks: Sequence[int], f: PartFilter):
     cores of those sizes (one row for a point query, lo = hi).  Each k
     must be a positive int; hi is named n in errors."""
     hi, te, runs = _walk(lo, hi, t, f, "n")
-    ks = [_integer(k, "k must be an integer") for k in ks]
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
+    ks = [_integer(k, "k", 1) for k in ks]
     return _abacus.hook_columns(runs, te, ks, lo, hi)[0]
 
 
@@ -185,13 +183,7 @@ def chain_tables(
     sizes n_lo..n_hi alone, for the union of the ks it is paired with in
     any chain.  chain_records turns the columns into BiasRecords.
     """
-    chains = [
-        [
-            (_integer(t, "t must be an integer"), _integer(k, "k must be an integer"))
-            for t, k in pairs
-        ]
-        for pairs in chains
-    ]
+    chains = [[(_integer(t, "t"), _integer(k, "k")) for t, k in pairs] for pairs in chains]
     if not chains or not all(chains):
         raise ValueError("pairs must not be empty")
     relations = list(relations)
@@ -205,8 +197,7 @@ def chain_tables(
         if r not in _RELATIONS:
             raise ValueError(f"unknown relation {r!r}; use >=, <= or =")
     ops = [_RELATIONS[r] for r in relations]
-    n_lo = _integer(n_lo, "n_lo must be an integer")
-    n_hi = _integer(n_hi, "n_hi must be an integer")
+    n_lo, n_hi = _integer(n_lo, "n_lo"), _integer(n_hi, "n_hi")
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError(f"bad range {n_lo}..{n_hi}")
     ks_of: dict[int, set[int]] = {}

@@ -11,7 +11,29 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import groupby, takewhile
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
+
+
+def _integer(value, name: str, lower: int | None = None, kind: str = "an integer") -> int:
+    """value read as an int, the one reader of the library's integer
+    arguments; name is the argument as its errors give it.
+
+    A value that is not an int (operator.index refuses a float, a string
+    and anything else that is not one) is a ValueError saying
+    "<name> must be <kind>, got <value!r>", kind being "an integer", or
+    "integers" for each item of a list argument.  Below lower, when given,
+    it is "<name> must be non-negative, got <value>" for lower 0, "must be
+    positive" for lower 1 and "must be at least <lower>" above that.
+    """
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+    if lower is not None and value < lower:
+        bound = "non-negative" if lower == 0 else "positive" if lower == 1 else f"at least {lower}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 class Cell(NamedTuple):
@@ -76,7 +98,7 @@ class Partition:
     __slots__ = ("_parts", "_n")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(x) for x in parts)
+        ps = tuple(_integer(x, "parts", kind="integers") for x in parts)
         prev = None
         for p in ps:
             if p < 1:
@@ -168,14 +190,12 @@ class Partition:
 
     def is_t_core(self, t: int) -> bool:
         """True when no hook length is divisible by t (requires t >= 2)."""
-        if t < 2:
-            raise ValueError(f"t must be at least 2, got {t}")
+        t = _integer(t, "t", 2)
         return all(h % t for h in hook_lengths_of(self._parts))
 
     def has_exact_hook(self, t: int) -> bool:
         """True when some cell has hook length exactly t (requires t >= 1)."""
-        if t < 1:
-            raise ValueError(f"hook length must be positive, got {t}")
+        t = _integer(t, "t", 1)
         return t in hook_lengths_of(self._parts)
 
     def region(self, cell: tuple[int, int]) -> set[Cell]:

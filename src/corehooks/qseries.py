@@ -18,6 +18,8 @@ from math import isqrt
 from operator import add, sub
 from typing import Iterable
 
+from .partition import _integer
+
 
 class TruncatedSeries(tuple):
     """Coefficients c[0..order] of a power series truncated at q^order.
@@ -65,10 +67,7 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
     O(t * (order / t)^1.5) for g.  Every intermediate c_n is a core count:
     for t > order the counts are the partition numbers p(n).
     """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    t, order = _integer(t, "t", 2), _integer(order, "order", 0)
     # the pentagonal numbers k(3k-1)/2 and k(3k+1)/2, split by the sign of
     # their term: k odd adds, k even subtracts (in (q;q) itself k odd is -1)
     adds: list[int] = []
@@ -113,8 +112,7 @@ def _euler_power(t: int, top: int, minus: list[int], plus: list[int]) -> list[in
 def triangular_indicator_series(order: int) -> TruncatedSeries:
     """Series with coefficient 1 exactly at the triangular numbers
     k*(k+1)/2 (k >= 0) and 0 elsewhere."""
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    order = _integer(order, "order", 0)
     c = [0] * (order + 1)
     for a in _triangular_upto(order):
         c[a] = 1
@@ -124,8 +122,7 @@ def triangular_indicator_series(order: int) -> TruncatedSeries:
 def triple_triangular_series(order: int) -> TruncatedSeries:
     """Coefficient of q^n counts triples (m, r, s) of non-negative integers
     with m*(m+1)/2 + r*(r+1) + s*(s+1) = n."""
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    order = _integer(order, "order", 0)
     c = [0] * (order + 1)
     for a in _triangular_upto(order):
         for b in _triangular_upto((order - a) // 2):

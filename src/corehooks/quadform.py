@@ -21,6 +21,7 @@ from math import gcd, isqrt
 from operator import sub
 
 from .generate import count_t_cores
+from .partition import _integer
 from .qseries import triple_triangular_series
 
 
@@ -64,8 +65,7 @@ class OddRepresentation(namedtuple("OddRepresentation", "h x y z m r s")):
 def is_dickson_excluded(n: int) -> bool:
     """True when n has the shape 4^a*(8b+7), the integers the form
     x^2 + 2y^2 + 2z^2 does not represent."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _integer(n, "n", 1)
     while n % 4 == 0:
         n //= 4
     return n % 8 == 7
@@ -74,8 +74,7 @@ def is_dickson_excluded(n: int) -> bool:
 def representable_flags(n_max: int) -> list[bool]:
     """flags[n] for 1 <= n <= n_max: does x^2 + 2y^2 + 2z^2 = n have a
     solution?  One sieve pass over all value triples up to the bound."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+    n_max = _integer(n_max, "n_max", 1)
     flags = bytearray(n_max + 1)
     for x in range(isqrt(n_max) + 1):
         for y in range(isqrt((n_max - x * x) // 2) + 1):
@@ -133,8 +132,7 @@ def odd_representation(h: int) -> OddRepresentation:
     p = 3 (mod 4) below 50 divides exactly once (_not_two_squares), since
     such a half is no sum of two squares at all.
     """
-    if h < 2:
-        raise ValueError(f"h must be at least 2, got {h}")
+    h = _integer(h, "h", 2)
     target = (2 * h + 1) ** 2 + 4
     # y^2 and z^2 are at most half <= target / 2
     odd_squares, odd_square_set = _odd_squares_upto(target // 2)
@@ -170,8 +168,7 @@ def check_triangular_4core_pair(h_max: int) -> tuple[bool, list[str]]:
     """For every 2 <= h <= h_max and n = h(h+1)/2: the triple triangular
     series coefficient at n is at least 2, and (for n <= _ENUM_BUDGET) so
     is the number of 4-core partitions of n."""
-    if h_max < 2:
-        raise ValueError(f"h_max must be at least 2, got {h_max}")
+    h_max = _integer(h_max, "h_max", 2)
     n_top = h_max * (h_max + 1) // 2
     series = triple_triangular_series(n_top)
     failures = []

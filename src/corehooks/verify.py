@@ -20,15 +20,9 @@ from functools import partial
 from itertools import accumulate, islice
 from math import isqrt
 
-from .generate import (
-    EMPTY_FILTER,
-    PartFilter,
-    _integer,
-    iter_partition_parts,
-    t_cores_up_to,
-)
+from .generate import EMPTY_FILTER, PartFilter, iter_partition_parts, t_cores_up_to
 from .hookstats import FAILS, BiasRecord, bias_table, chain_records, chain_tables, hook_count_table
-from .partition import Cell, Partition, hook_lengths_of
+from .partition import Cell, Partition, _integer, hook_lengths_of
 
 
 class ConditionReport(namedtuple("ConditionReport", "subject checks overall")):
@@ -160,11 +154,12 @@ def _missing_hook_lengths(parts: tuple[int, ...], ts) -> list[int]:
     return [t for t in ts if not (bits >> t) & ~bits]
 
 
+# The positive witnesses per t that region_theorem_scan samples.
+_SAMPLES_PER_T = 3
+
+
 def region_theorem_scan(
-    n_max: int,
-    t_values=range(1, 8),
-    samples: list | None = None,
-    samples_per_t: int = 3,
+    n_max: int, t_values=range(1, 8), samples: list | None = None
 ) -> list[RegionWitness]:
     """Search all partitions of every n <= n_max for a hook of length k*t
     (k >= 2) whose region contains no hook of length exactly t.
@@ -180,17 +175,14 @@ def region_theorem_scan(
 
     Returns the violations (empty when the containment property holds on
     the whole range).  When a list is passed as samples, the first
-    samples_per_t positive witnesses per t, over every cell of every
+    _SAMPLES_PER_T positive witnesses per t, over every cell of every
     partition in enumeration order, are appended to it for reporting;
     only these need every hook length of a diagram (hook_lengths_of),
     built only where the corner hook is at least twice the least t whose
     samples are still pending.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
-    t_values = sorted(set(int(t) for t in t_values))
-    if any(t < 1 for t in t_values):
-        raise ValueError("every t must be at least 1")
+    n_max = _integer(n_max, "n_max", 1)
+    t_values = sorted({_integer(t, "t", 1) for t in t_values})
     # t_for_corner[h]: the t whose multiples of at least 2 * t include h
     t_for_corner = [
         [t for t in t_values if h % t == 0 and h >= 2 * t]
@@ -198,7 +190,7 @@ def region_theorem_scan(
     ]
     violations: list[RegionWitness] = []
     sampled = dict.fromkeys(t_values, 0)
-    pending = t_values if samples is not None and samples_per_t > 0 else []
+    pending = t_values if samples is not None else []
     for n in range(1, n_max + 1):
         for parts in iter_partition_parts(n):
             corner = parts[0] + len(parts) - 1
@@ -213,12 +205,12 @@ def region_theorem_scan(
                 hooks = hook_lengths_of(parts)
                 for t in pending:
                     found = _region_samples(parts, hooks, t)
-                    for cell, h, witness in islice(found, samples_per_t - sampled[t]):
+                    for cell, h, witness in islice(found, _SAMPLES_PER_T - sampled[t]):
                         samples.append(RegionWitness(
                             Partition._unchecked(parts, n), cell, h, t, witness
                         ))
                         sampled[t] += 1
-                pending = [t for t in pending if sampled[t] < samples_per_t]
+                pending = [t for t in pending if sampled[t] < _SAMPLES_PER_T]
     return violations
 
 
@@ -235,8 +227,7 @@ def check_2core_ladder(ell_max: int) -> tuple[bool, str | None]:
     no even length appears and consecutive odd-hook counts differ by
     exactly 1); at every other n there is no 2-core at all.
     """
-    if ell_max < 1:
-        raise ValueError(f"ell_max must be positive, got {ell_max}")
+    ell_max = _integer(ell_max, "ell_max", 1)
     n_max = ell_max * (ell_max + 1) // 2
     tables, core_counts = hook_count_table(2, n_max)
     # the hook counts of the one 2-core of each triangular n
@@ -265,8 +256,7 @@ def check_restricted_4core_formula(ell_max: int) -> tuple[bool, str | None]:
     2, the 1-hook and 3-hook totals both equal L at n = 3*L*(L+1)/2 and
     vanish at every other n <= 3*ell_max*(ell_max+1)/2: the closed form
     of _check_thm16, its last failure when it fails."""
-    if ell_max < 1:
-        raise ValueError(f"ell_max must be positive, got {ell_max}")
+    ell_max = _integer(ell_max, "ell_max", 1)
     failures, _, _ = _check_thm16(3 * ell_max * (ell_max + 1) // 2)
     return (False, failures[-1]) if failures else (True, None)
 
@@ -275,9 +265,7 @@ def scan_conjecture_5core(n_max: int) -> list[BiasRecord]:
     """Counterexample scan for the conjectured 5-core chain, the conj15
     row of _CHAINS: total 1-hooks >= total 3-hooks >= total 6-hooks for
     every n.  Returns FAILS rows only; this reports, it does not assert."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    return _chain_failures("conj15", n_max)
+    return _chain_failures("conj15", _integer(n_max, "n_max", 0))
 
 
 def necessity_scan(n_max: int) -> list[tuple[int, Partition, str]]:
@@ -460,9 +448,7 @@ def run_check(name: str, n_max: int) -> CheckResult:
         raise ValueError(
             f"unknown check {name!r}; choose from {sorted(CHECKS)}"
         ) from None
-    n_max = _integer(n_max, "n_max must be an integer")
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+    n_max = _integer(n_max, "n_max", 1)
     failures, tail, extra = runner(n_max)
     return CheckResult(
         check=name,

@@ -78,10 +78,14 @@ def test_filter_validation():
         PartFilter(min_part=0)
     with pytest.raises(ValueError):
         PartFilter(excluded=frozenset({0}))
-    with pytest.raises(ValueError, match="min_part must be an integer"):
+    with pytest.raises(ValueError, match="min_part must be an integer, got 1.5"):
         PartFilter(min_part=1.5)
-    with pytest.raises(ValueError, match="excluded values must be integers"):
+    with pytest.raises(ValueError, match="min_part must be an integer, got '2'"):
+        PartFilter(min_part="2")
+    with pytest.raises(ValueError, match="excluded values must be integers, got 1.5"):
         PartFilter(excluded=frozenset({1.5}))
+    with pytest.raises(ValueError, match="excluded values must be integers, got '3'"):
+        PartFilter(excluded={"3"})
     # the excluded values are kept as a frozenset, so a filter is a value
     assert PartFilter(excluded={1}) == PartFilter(excluded=frozenset({1}))
     assert {PartFilter(excluded=frozenset({1})): "no1"}[PartFilter(excluded={1})] == "no1"
@@ -120,6 +124,15 @@ def test_core_arguments_must_be_integers():
         list(t_cores_up_to(-1, 4))
     with pytest.raises(ValueError, match="t must be an integer, got 3.0"):
         list(t_cores_up_to(10, 3.0))
+    # the partition streams read n on their first item
+    with pytest.raises(ValueError, match="n must be an integer, got 4.0"):
+        list(partitions_of(4.0))
+    with pytest.raises(ValueError, match="n must be an integer, got '4'"):
+        list(partitions_of("4"))
+    with pytest.raises(ValueError, match="n must be an integer, got 4.5"):
+        list(iter_partition_parts(4.5))
+    with pytest.raises(ValueError, match="n must be an integer, got '4'"):
+        list(partition_text_chunks("4"))
 
 
 def test_t_requires_at_least_two():

@@ -105,6 +105,18 @@ def test_arguments_must_be_integers():
         total_hook_count(6, "4", 1)
     with pytest.raises(ValueError, match="k must be an integer, got '1'"):
         _hook_columns(6, 6, 4, ("1",), PartFilter())
+    with pytest.raises(ValueError, match="k must be an integer, got 2.0"):
+        _hook_columns(6, 6, 4, (1, 2.0), PartFilter())
+    with pytest.raises(ValueError, match="hook lengths must be integers, got '2'"):
+        hook_count_table(4, 10, ks=(1, "2"))
+    with pytest.raises(ValueError, match="t must be an integer, got '4'"):
+        cross_core_bias_table([(4, 1), ("4", 3)], 0, 6, ["<="])
+    with pytest.raises(ValueError, match="k must be an integer, got 3.0"):
+        cross_core_bias_table([(4, 1), (4, 3.0)], 0, 6, ["<="])
+    with pytest.raises(ValueError, match="n_lo must be an integer, got '5'"):
+        bias_table(4, [1, 3], "5", 6, relations=[">="])
+    with pytest.raises(ValueError, match="n_hi must be an integer, got 6.0"):
+        bias_table(4, [1, 3], 5, 6.0, relations=[">="])
 
 
 @pytest.mark.parametrize("t", [3, 5])

@@ -125,7 +125,7 @@ def test_region_scan_fixture_witness():
     p = Partition((4, 1, 1))
     assert p.hook_length((1, 1)) == 6
     samples = []
-    region_theorem_scan(6, t_values=[3], samples=samples, samples_per_t=50)
+    region_theorem_scan(6, t_values=[3], samples=samples)
     ours = [w for w in samples if w.partition == p and w.hook_cell == Cell(1, 1)]
     assert ours and ours[0].witness_cell == Cell(1, 2)
 
