@@ -18,12 +18,14 @@ hooks of length k, for k divisible by t none.  That count, the parts and
 the gaps between empty positions stay the same when every position moves
 by the same amount and the runner labels turn with it, so every consumer
 takes z' as it is; the charge vector x with sum 0 of the same core has
-z_c = c + t*x_c = z'_{(c+L) mod t} - L.  The cores of one prefix of the
-walk below differ only in the last runner, and only two of the t terms
-read it, so such a run costs O(t) per hook length and each of its cores
-O(1), where a diagram costs O(n).  hook_columns tallies listed hook
-lengths so, into one column per k over a window of sizes (one row for a
-point query); hook_table counts every hook length of each core.
+z_c = c + t*x_c = z'_{(c+L) mod t} - L.  The walk below yields blocks:
+runners t-1..m+2 fixed, one row per x'_{m+1}, and in a row the cores,
+which differ only in runner m.  Only two of the t terms read runner m and
+two more runner m+1, so for each hook length a block costs O(t), a row
+O(1) and a core O(1), where a diagram costs O(n).  hook_columns tallies
+listed hook lengths so, into one column per k over a window of sizes
+(one row for a point query); hook_table counts every hook length of each
+core.
 
 The walk yields the cores of sizes lo..hi.  Sizes are doubled and
 centred: runner c with x beads costs w_c(x) = t*x^2 + g_c*x, with
@@ -36,22 +38,24 @@ runners free, any real completion gives
 
 G1 and G2 the sums of g_b and g_b^2 over the free runners (G2 summed once
 per call), so x'_c ranges over the integer interval where this stays
-within 2hi.  Each x'_c in it is then kept only if the cheapest integer
-completion stays within 2hi too.  That completion adds beads at the
+within 2hi.  Above runner m+1, each x'_c in it is then kept only if the
+cheapest integer completion stays within 2hi too; runner m+1 takes its
+whole interval, one row per x'_{m+1}, and the rows of one prefix of
+runners t-1..m+2 make a block.  That completion adds beads at the
 lowest free positions while each lowers n.  The i-th bead added lies in
 level j = (i-1) // k, at m + (i-1) mod k + jt, and lowers n by s + i - 1
 minus that, s - m - j(t - k) for the whole level; so it fills the l
 levels j with m + j(t - k) < s.  The last runner m is solved, not
-searched: with s and w the sum and cost of runners m+1..t-1,
+searched: with s and w the sum and cost of runners m+1..t-1 in a row,
 
     2n = (t-1)x^2 + (2m - t + 1 - 2s)x + w - s^2,   x = x'_m,
 
 a quadratic.  Its root interval for hi less the open interval where
-n < lo, at most two integer intervals, gives the cores of the prefix,
-yielded together as one run; lo = 0 leaves the root interval whole, and
-lo = hi its integer roots.  The prefixes are bounded by hi alone, so a
-window costs one prefix walk plus its cores.  So the 4-cores with no
-parts 1, 2 are N^1: (3L, ..., 6, 3) at n = 3L(L+1)/2, thm16's form.
+n < lo, at most two integer intervals, gives the cores of the row; lo = 0
+leaves the root interval whole, and lo = hi its integer roots.  The
+prefixes are bounded by hi alone, so a window costs one prefix walk plus
+its cores.  So the 4-cores with no parts 1, 2 are N^1: (3L, ..., 6, 3)
+at n = 3L(L+1)/2, thm16's form.
 
 Conjugation maps x to (-x_{t-1}, ..., -x_0), another core of the same
 size with the same hooks, so a total over all cores needs one core of
@@ -78,36 +82,41 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 if TYPE_CHECKING:
     from .generate import PartFilter
 
+    # (z', c, rows): rows of (z'_d, cores), d = (c + 1) mod t, and cores of (n, z'_c, w)
+    Block = tuple[list[int], int, list[tuple[int, list[tuple[int, int, int]]]]]
 
-def core_runs(
-    t: int, m: int, lo: int, hi: int, paired: bool = False
-) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
+
+def core_runs(t: int, m: int, lo: int, hi: int, paired: bool = False) -> Iterator[Block]:
     """Yield the t-cores with no part below m >= 1 of size lo <= n <= hi,
-    one prefix at a time and in no particular order: runs (z', c, cores)
-    with z' set on every runner but c and cores a non-empty list of
+    one block at a time and in no particular order: blocks (z', c, rows)
+    with z' set on every runner but c and d = (c + 1) mod t, and rows a
+    non-empty list of rows (z'_d, cores), cores a non-empty list of
     (n, z'_c, w), w the number of cores each stands for: 1, unless paired
     (which needs m = 1) yields one core of each conjugate pair, weighted.
-    c is m, or t - 1 for the empty core alone when m >= t.  z' is one
-    list, rewritten in place between yields.
+    c is m, or t - 1 for the empty core alone when m >= t; at c = t - 1,
+    d is runner 0, always empty.  z' is one list, rewritten in place
+    between yields.
     """
     budget = 2 * hi
     z = list(range(t))  # z'_c = c + t*x'_c
     if m >= t:  # the empty core alone
         if lo == 0:
-            yield z, t - 1, [(0, t - 1, 1)]
+            yield z, t - 1, [(0, [(0, t - 1, 1)])]
         return
     t1 = t - 1
     q = 2 * t1
     g_m = 2 * m - t + 1
+    d = (m + 1) % t
     g2 = [0] * t  # g2[c]: the sum of g_b^2 over runners m <= b < c
     for c in range(m, t1):
         g2[c + 1] = g2[c] + (2 * c - t + 1) ** 2
 
-    def prefixes() -> Iterator[tuple[int, int]]:
-        # (sum, cost) of runners m+1..t-1 for each prefix within the
-        # budget, with their z' set
+    def blocks() -> Iterator[tuple[int, int, int, int]]:
+        # (sum, cost) of runners m+2..t-1 for each prefix within the budget,
+        # with their z' set, and the x'_{m+1} within the real bound; at
+        # m = t - 1 one empty prefix and x'_{m+1} = 0, for runner d = 0
         if m == t1:
-            yield 0, 0
+            yield 0, 0, 0, 0
             return
         fixed = [(0, 0)] * t  # (sum, cost) of runners c+1..t-1, for each c
         tried = [0] * t  # the x'_c tried last
@@ -121,11 +130,14 @@ def core_runs(
             p = 2 * t * s - k * (k + 2 * m - t)  # 2ts - G1
             e = tk * (2 * c - t + 1) - p
             qc = 2 * t * (tk - 1)
-            d = e * e + (tk - 1) * (tk * g2[c] + p * p) + 2 * tk * qc * (budget - w)
-            r = isqrt(d)
+            disc = e * e + (tk - 1) * (tk * g2[c] + p * p) + 2 * tk * qc * (budget - w)
+            r = isqrt(disc)
             x = -((e + r) // qc)
             tried[c] = x - 1 if x > 0 else -1
             tops[c] = (r - e) // qc
+            if c == d:  # the prefix's block: every x'_{m+1} in the interval
+                yield s, w, tried[c] + 1, tops[c]
+                tried[c] = tops[c]
             while True:
                 x = tried[c] + 1
                 if x > tops[c]:
@@ -139,9 +151,6 @@ def core_runs(
                 s += x
                 w += t * x * x + (2 * c - t + 1) * x
                 z[c] = c + t * x
-                if c == m + 1:
-                    yield s, w
-                    continue
                 # the integer test: the cheapest completion fills l whole
                 # levels of the k free runners
                 l = (s - m - 1) // tk + 1 if s > m else 0
@@ -151,55 +160,64 @@ def core_runs(
             fixed[c] = s, w
 
     below = 4 * q * (hi - lo)  # disc less the discriminant of n = lo
-    for s, w in prefixes():
-        b = g_m - 2 * s
-        c0 = w - s * s
-        # (q*x + b)^2 <= disc within the budget.  disc >= 0: each prefix
-        # yielded at c = m + 1 lies inside the real bound, which with one
-        # free runner is this quadratic's own minimum, and both isqrt floors
-        # above round inward; at m = t - 1, c0 = 0 and disc = b*b + 4*q*hi.
-        disc = b * b + 2 * q * (budget - c0)
-        root = isqrt(disc)
-        if not below:  # one size, lo = hi: q*x + b is root or -root
-            if root * root != disc:
+    g_d = g_m + 2
+    for s0, w0, x_lo, x_hi in blocks():
+        rows = []
+        for y in range(x_lo, x_hi + 1):
+            s = s0 + y
+            w = w0 + (t * y + g_d) * y
+            zd = z[d] = d + t * y
+            b = g_m - 2 * s
+            c0 = w - s * s
+            # (q*x + b)^2 <= disc within the budget.  disc >= 0: each row
+            # lies inside the real bound of runner m + 1, which with one free
+            # runner is this quadratic's own minimum, and both isqrt floors
+            # above round inward; at m = t - 1, c0 = 0 and disc = b*b + 4*q*hi.
+            disc = b * b + 2 * q * (budget - c0)
+            root = isqrt(disc)
+            if not below:  # one size, lo = hi: q*x + b is root or -root
+                if root * root != disc:
+                    continue
+                xs = {v // q for v in (root - b, -root - b) if v >= 0 and v % q == 0}
+            elif lo and disc > below:
+                low = disc - below  # n < lo where (q*x + b)^2 < low
+                if root * root < low:
+                    continue  # no integer q*x + b has n in the window
+                x0, x1, r = max(0, -((root + b) // q)), (root - b) // q, isqrt(low - 1)
+                cut, up = -((r + b) // q), (r - b) // q + 1  # n < lo for cut <= x < up
+                if cut <= x0:
+                    xs = range(max(x0, up), x1 + 1)
+                elif up > x1:
+                    xs = range(x0, min(cut, x1 + 1))
+                else:  # n reaches lo on both sides: two intervals
+                    xs = [*range(x0, cut), *range(up, x1 + 1)]
+            else:
+                xs = range(max(0, -((root + b) // q)), (root - b) // q + 1)
+            if not xs:
                 continue
-            xs = {v // q for v in (root - b, -root - b) if v >= 0 and v % q == 0}
-        elif lo and disc > below:
-            d = disc - below  # n < lo where (q*x + b)^2 < d
-            if root * root < d:
-                continue  # no integer q*x + b has n in the window
-            x0, x1, r = max(0, -((root + b) // q)), (root - b) // q, isqrt(d - 1)
-            cut, up = -((r + b) // q), (r - b) // q + 1  # n < lo for cut <= x < up
-            if cut <= x0:
-                xs = range(max(x0, up), x1 + 1)
-            elif up > x1:
-                xs = range(x0, min(cut, x1 + 1))
-            else:  # n reaches lo on both sides: two intervals
-                xs = [*range(x0, cut), *range(up, x1 + 1)]
-        else:
-            xs = range(max(0, -((root + b) // q)), (root - b) // q + 1)
-        if not xs:
-            continue
-        if not paired:
-            cores = [(((t1 * x + b) * x + c0) >> 1, m + t * x, 1) for x in xs]
-        else:
-            cores = []
-            for x in xs:
-                zm = z[m] = m + t * x
-                L = s + x
-                r = L % t
-                v = z[r] + z[r - 1] - 2 * L - t1  # t * (x_0 + x_{t-1})
-                if v >= 0:
-                    cores.append((((t1 * x + b) * x + c0) >> 1, zm, 2 if v else 1))
-        if cores:
-            yield z, m, cores
+            if not paired:
+                cores = [(((t1 * x + b) * x + c0) >> 1, m + t * x, 1) for x in xs]
+            else:
+                cores = []
+                for x in xs:
+                    zm = z[m] = m + t * x
+                    L = s + x
+                    r = L % t
+                    v = z[r] + z[r - 1] - 2 * L - t1  # t * (x_0 + x_{t-1})
+                    if v >= 0:
+                        cores.append((((t1 * x + b) * x + c0) >> 1, zm, 2 if v else 1))
+            if cores:
+                rows.append((zd, cores))
+        if rows:
+            yield z, m, rows
 
 
-def _each_core(runs) -> Iterator[tuple[int, list[int], int]]:
-    for z, c, cores in runs:
-        for n, zc, w in cores:
-            z[c] = zc
-            yield n, z, w
+def _each_core(blocks) -> Iterator[tuple[int, list[int], int]]:
+    for z, c, rows in blocks:
+        d = (c + 1) % len(z)
+        for z[d], cores in rows:
+            for n, z[c], w in cores:
+                yield n, z, w
 
 
 def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
@@ -219,10 +237,8 @@ def core_parts(z: Sequence[int], t: int) -> tuple[int, ...]:
     return tuple(map(sub, beads, range(lo + len(beads) - 1, lo - 1, -1)))
 
 
-def hook_table(
-    runs: Iterable[tuple[list[int], int, list[tuple[int, int, int]]]], t: int
-) -> tuple[dict[int, Counter], Counter]:
-    """Every hook length of the cores of runs (z, c, cores) as core_runs
+def hook_table(blocks: Iterable[Block], t: int) -> tuple[dict[int, Counter], Counter]:
+    """Every hook length of the cores of blocks (z, c, rows) as core_runs
     yields them, each core (n, z_c, w) standing for w cores, by size:
     (tables, core_counts) with tables[n] mapping hook length to its total
     over the cores of size n.  Only sizes with a core appear, and only
@@ -231,7 +247,7 @@ def hook_table(
     """
     core_counts: Counter = Counter()
     tables: dict[int, Counter] = {}
-    for n, z, w in _each_core(runs):
+    for n, z, w in _each_core(blocks):
         core_counts[n] += w
         tally = tables.get(n)
         if tally is None:
@@ -251,27 +267,30 @@ def hook_table(
     return tables, core_counts
 
 
+_NEVER = float("inf")  # a bound no position passes
+
+
 def hook_columns(
-    runs: Iterable[tuple[list[int], int, list[tuple[int, int, int]]]],
-    t: int,
-    ks: Sequence[int],
-    lo: int,
-    hi: int,
+    blocks: Iterable[Block], t: int, ks: Sequence[int], lo: int, hi: int
 ) -> tuple[list[list[int]], list[int]]:
-    """Hook counts of the listed ks over the cores of runs (z, c, cores)
+    """Hook counts of the listed ks over the cores of blocks (z, c, rows)
     as core_runs yields them, each core (n, z_c, w) standing for w cores,
-    as columns over the sizes lo..hi, which must hold every n of runs:
+    as columns over the sizes lo..hi, which must hold every n of blocks:
     (columns, core_counts), columns[i][n - lo] the total of ks[i]-hooks
     over the cores of size n and core_counts[n - lo] the number of those
     cores: (0, n_max) for a range table, (n, n) for a point query.
 
-    For k with r = k mod t, only the terms of runners c and c + r read
-    z_c, so the other t - 2 are summed once per run and each core adds
-    its two: O(t) per run and O(1) per core for each k.  Every z'_b of a
-    run is at least b, as core_runs yields it, so a runner with no bead
-    (z'_b = b) starts no term: z'_{b-r} >= b - r, or b - r + t when
-    b < r, and k >= r.  Only the runners with a bead are summed.  Each
-    term is a multiple of t, so the sums are divided once, at the end.
+    For k with r = k mod t, the term of runner b reads z_b and z_{b-r}:
+    those of runners c and c + r read z_c and each core adds them, those
+    of d = c + 1 and d + r read z_d and each row adds them, and the others
+    are summed once per block: O(t) per block, O(1) per row and O(1) per
+    core for each k.  At r = 1, d is c + r, a core's term, and at
+    r = t - 1, d + r is c, which a row reads as empty: c - k - z_d <= 0.
+    Every z'_b of a block is at least b, as core_runs yields it, so a
+    runner with no bead (z'_b = b) starts no term: z'_{b-r} >= b - r, or
+    b - r + t when b < r, and k >= r.  Only the runners with a bead are
+    summed.  Each term is a multiple of t, so the sums are divided once,
+    at the end.
     """
     width = hi - lo + 1
     core_counts = [0] * width
@@ -282,38 +301,49 @@ def hook_columns(
     for k, column in sums.items():
         groups.setdefault(k % t, []).append((k, column))
     plan = list(groups.items())
-    for z, c, cores in runs:
-        z[c] = c  # runner c reads as empty: each core adds its own terms
+    for z, c, rows in blocks:
+        d = (c + 1) % t
+        z[c], z[d] = c, d  # both read as empty: rows and cores add their own terms
         full = [b for b in range(t) if z[b] != b]  # the runners with a bead
-        # (column, the fixed sum, z_{c-r} + k, z_{c+r} - k) for each k: a
-        # core adds z_c - z_{c-r} - k and z_{c+r} - z_c - k where positive
-        terms = []
+        # (column, k, the fixed sum, u, v, c - r, c + r) for each k: a row
+        # adds z_d - u and v - z_d, and a core z_c - z_{c-r} - k and
+        # z_{c+r} - z_c - k, where positive
+        fixed_terms = []
         for r, columns in plan:
-            cr = (c + r) % t
+            cr, dr = (c + r) % t, (d + r) % t
             for k, column in columns:
                 fixed = 0
                 for b in full:
-                    if b != cr:
+                    if b != cr and b != dr:
                         v = z[b] - z[b - r] - k
                         if v > 0:
                             fixed += v
-                terms.append((column, fixed, z[c - r] + k, z[cr] - k))
-        for n, zc, w in cores:
-            i = n - lo
-            core_counts[i] += w
-            for column, total, below, above in terms:
-                if zc > below:
-                    total += zc - below
-                if above > zc:
-                    total += above - zc
-                column[i] += total * w
+                u = z[d - r] + k if r != 1 else _NEVER
+                v = z[dr] - k
+                fixed_terms.append((column, k, fixed, u, v, c - r, cr))
+        for zd, cores in rows:
+            z[d] = zd
+            terms = []
+            for column, k, total, u, v, cb, ca in fixed_terms:
+                if zd > u:
+                    total += zd - u
+                if v > zd:
+                    total += v - zd
+                terms.append((column, total, z[cb] + k, z[ca] - k))
+            for n, zc, w in cores:
+                i = n - lo
+                core_counts[i] += w
+                for column, total, below, above in terms:
+                    if zc > below:
+                        total += zc - below
+                    if above > zc:
+                        total += above - zc
+                    column[i] += total * w
     columns = [[v // t for v in sums[k]] if k % t else [0] * width for k in ks]
     return columns, core_counts
 
 
-def kept_runs(
-    t: int, lo: int, hi: int, f: PartFilter
-) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
+def kept_runs(t: int, lo: int, hi: int, f: PartFilter) -> Iterator[Block]:
     """core_runs for the cores whose parts pass the filter.  With m the
     least value it allows, the walk builds the cores with no part below m,
     and part_test decides the forbidden values above m.  When the filter
@@ -328,19 +358,22 @@ def kept_runs(
     if keep is None:
         yield from runs
         return
-    for z, c, cores in runs:
-        kept = []
-        for core in cores:
-            z[c] = core[1]
-            if keep(z):
-                kept.append(core)
-        if kept:
-            yield z, c, kept
+    for z, c, rows in runs:
+        d = (c + 1) % t
+        kept_rows = []
+        for z[d], cores in rows:
+            kept = []
+            for core in cores:
+                z[c] = core[1]
+                if keep(z):
+                    kept.append(core)
+            if kept:
+                kept_rows.append((z[d], kept))
+        if kept_rows:
+            yield z, c, kept_rows
 
 
-def kept_vectors(
-    t: int, lo: int, hi: int, f: PartFilter
-) -> Iterator[tuple[int, list[int], int]]:
+def kept_vectors(t: int, lo: int, hi: int, f: PartFilter) -> Iterator[tuple[int, list[int], int]]:
     """The cores of kept_runs one at a time, as (n, z', w)."""
     return _each_core(kept_runs(t, lo, hi, f))
 

@@ -6,11 +6,12 @@ part values.  Totals come from the one walk of _abacus over the cores
 with no part below the least allowed value m, the points of N^(t-m): a
 table over the sizes lo..hi is one walk over the cores of those sizes,
 every n <= n_max for a range table and n alone for a point query.  The
-walk yields the cores of one prefix together, differing only in the last
-runner, so for each hook length a prefix costs O(t) and each of its
-cores O(1).  When the filter forbids no value in range the hooks of only
-one core of each conjugate pair are counted, for both, since conjugation
-keeps the size and the hooks.  Every count is an exact integer.
+walk yields blocks that fix every runner but the last two, one row per
+value of the second last and in a row the cores, so for each hook length
+a block costs O(t), a row O(1) and each core O(1).  When the filter
+forbids no value in range the hooks of only one core of each conjugate
+pair are counted, for both, since conjugation keeps the size and the
+hooks.  Every count is an exact integer.
 
 The totals of listed hook lengths are tallied as columns, one list per k
 over the sizes and one of core counts: a point query has one row, and
@@ -71,7 +72,7 @@ def total_hook_count(
 
 def _walk(lo: int, hi: int, t: int, f: PartFilter, name: str):
     """(hi, te, runs): the size hi checked (name is its argument), the
-    runners te to use and the kept runs of the t-cores of size lo..hi
+    runners te to use and the kept blocks of the t-cores of size lo..hi
     that pass the filter."""
     hi, t = _check_core_args(hi, t, name)
     te = _engine_t(t, hi)

@@ -43,6 +43,12 @@ class Cell(NamedTuple):
     col: int
 
 
+def _cell(cell: tuple[int, int]) -> Cell:
+    """cell with its row and column read as ints."""
+    row, col = cell
+    return Cell(_integer(row, "row"), _integer(col, "col"))
+
+
 def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Column lengths of the diagram with the given row lengths."""
     if not parts:
@@ -158,7 +164,7 @@ class Partition:
         return parts_text(self._parts)
 
     def is_valid_cell(self, cell: tuple[int, int]) -> bool:
-        row, col = cell
+        row, col = _cell(cell)
         return 1 <= row <= len(self._parts) and 1 <= col <= self._parts[row - 1]
 
     def cells(self) -> Iterator[Cell]:
@@ -174,9 +180,9 @@ class Partition:
 
     def hook_length(self, cell: tuple[int, int]) -> int:
         """Hook length of one cell; raises ValueError on a cell outside the diagram."""
-        if not self.is_valid_cell(cell):
+        row, col = _cell(cell)
+        if not self.is_valid_cell((row, col)):
             raise ValueError(f"cell {tuple(cell)} is not a box of {self}")
-        row, col = cell
         arm = self._parts[row - 1] - col
         leg = sum(1 for i in range(row, len(self._parts)) if self._parts[i] >= col)
         return arm + leg + 1
@@ -205,9 +211,9 @@ class Partition:
         it always contains the cell itself, and re-indexed it is itself a
         Young diagram.
         """
-        if not self.is_valid_cell(cell):
+        row, col = _cell(cell)
+        if not self.is_valid_cell((row, col)):
             raise ValueError(f"cell {tuple(cell)} is not a box of {self}")
-        row, col = cell
         rows = takewhile(col.__le__, self._parts[row - 1 :])
         return {Cell(i, j) for i, lam in enumerate(rows, row) for j in range(col, lam + 1)}
 

@@ -349,3 +349,104 @@ def class_number(d: int) -> int:
 def is_square_free(m: int) -> bool:
     return all(m % (p * p) for p in range(2, isqrt(m) + 1))
 
+
+# ---------------------------------------------------------------------------
+# Per-prefix abacus walk.
+#
+# The walk _abacus.core_runs replaced: it fixes runners t-1..m+1 and solves
+# the last runner m of each prefix on its own, with the same bounds and the
+# same solve, so it shares the method with the package and checks only how
+# core_runs groups its prefixes into blocks: the same cores, each once, with
+# the same weights.
+# ---------------------------------------------------------------------------
+
+
+def prefix_runs(t: int, m: int, lo: int, hi: int, paired: bool = False):
+    """Yield (z', c, cores) per prefix for the t-cores with no part below
+    m >= 1 and size lo <= n <= hi: z' set on every runner but c, cores a
+    non-empty list of (n, z'_c, w), one core of each conjugate pair when
+    paired (at m = 1).  z' is one list, rewritten in place."""
+    budget = 2 * hi
+    z = list(range(t))
+    if m >= t:
+        if lo == 0:
+            yield z, t - 1, [(0, t - 1, 1)]
+        return
+    t1 = t - 1
+    q = 2 * t1
+    g_m = 2 * m - t + 1
+    g2 = [0] * t  # g2[c]: the sum of g_b^2 over runners m <= b < c
+    for c in range(m, t1):
+        g2[c + 1] = g2[c] + (2 * c - t + 1) ** 2
+
+    def prefixes():
+        # (sum, cost) of runners m+1..t-1 for each prefix, with their z' set
+        if m == t1:
+            yield 0, 0
+            return
+        fixed = [(0, 0)] * t
+        tried = [0] * t
+        tops = [0] * t
+        c, s, w = t1, 0, 0
+        while True:
+            k, tk = c - m, t - c + m
+            p = 2 * t * s - k * (k + 2 * m - t)
+            e = tk * (2 * c - t + 1) - p
+            qc = 2 * t * (tk - 1)
+            d = e * e + (tk - 1) * (tk * g2[c] + p * p) + 2 * tk * qc * (budget - w)
+            r = isqrt(d)
+            x = -((e + r) // qc)
+            tried[c] = x - 1 if x > 0 else -1
+            tops[c] = (r - e) // qc
+            while True:
+                x = tried[c] + 1
+                if x > tops[c]:
+                    c += 1
+                    if c == t:
+                        return
+                    k, tk = k + 1, tk - 1
+                    continue
+                tried[c] = x
+                s, w = fixed[c]
+                s += x
+                w += t * x * x + (2 * c - t + 1) * x
+                z[c] = c + t * x
+                if c == m + 1:
+                    yield s, w
+                    continue
+                l = (s - m - 1) // tk + 1 if s > m else 0
+                if w - s * s + k * l * (2 * (m - s) + tk * (l - 1)) <= budget:
+                    break
+            c -= 1
+            fixed[c] = s, w
+
+    for s, w in prefixes():
+        b = g_m - 2 * s
+        c0 = w - s * s
+        # the x with lo <= n <= hi, n = ((t - 1)x^2 + bx + c0) / 2, by a
+        # scan of the root interval for hi
+        root = isqrt(b * b + 2 * q * (budget - c0))
+        xs = [
+            x
+            for x in range(max(0, -((root + b) // q)), (root - b) // q + 1)
+            if lo <= ((t1 * x + b) * x + c0) >> 1 <= hi
+        ]
+        cores = []
+        for x in xs:
+            n = ((t1 * x + b) * x + c0) >> 1
+            zm = z[m] = m + t * x
+            L = s + x
+            v = z[L % t] + z[L % t - 1] - 2 * L - t1  # t * (x_0 + x_{t-1})
+            if not paired:
+                cores.append((n, zm, 1))
+            elif v >= 0:
+                cores.append((n, zm, 2 if v else 1))
+        if cores:
+            yield z, m, cores
+
+
+def core_block(n: int, z: list[int], c: int):
+    """The core of size n with first empty positions z as one block of
+    _abacus.core_runs, runner c last: one row, runner (c + 1) mod t's
+    position, holding the one core."""
+    return z, c, [(z[(c + 1) % len(z)], [(n, z[c], 1)])]

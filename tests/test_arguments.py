@@ -72,6 +72,12 @@ ARGUMENT_CONTRACT = [
     (P31.has_exact_hook, (2.5,), "t must be an integer, got 2.5"),
     (P31.has_exact_hook, ("2",), "t must be an integer, got '2'"),
     (P31.has_exact_hook, (0,), "t must be positive, got 0"),
+    (P31.is_valid_cell, ((1, 2.0),), "col must be an integer, got 2.0"),
+    (P31.hook_length, ((1, 2.0),), "col must be an integer, got 2.0"),
+    (P31.hook_length, ((1.0, 1),), "row must be an integer, got 1.0"),
+    (P31.hook_length, (("1", 1),), "row must be an integer, got '1'"),
+    (P31.region, ((1, 1.5),), "col must be an integer, got 1.5"),
+    (P31.region, ((1.0, 1),), "row must be an integer, got 1.0"),
 ]
 
 

@@ -22,12 +22,14 @@ from conftest import (
     _partition_from_vector,
     charge_vector_of,
     class_number,
+    core_block,
     five_core_count,
     is_square_free,
     naive_hooks,
     naive_is_t_core,
     naive_partitions,
     partition_parts,
+    prefix_runs,
     three_core_count,
     vector_of_positions,
     walk_t_cores,
@@ -364,6 +366,42 @@ def test_window_walk_is_the_range_walk_cut_to_the_window(t, data):
 
 
 @pytest.mark.parametrize("t", range(2, 10))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_block_walk_matches_the_prefix_walk(t, data):
+    # core_runs fixes runners t-1..m+2 and yields a block of rows, one per
+    # x'_{m+1}; flattened, it must yield the cores of the conftest walk that
+    # solves each prefix of runners t-1..m+1 on its own, with the same
+    # weights.  Every m from 1 (paired too) to t + 1, so m = t - 1 (no
+    # runner m + 1), m = t - 2 (one block with an empty prefix) and m >= t
+    # (the empty core alone), and lo = 0, lo = hi or any, with t > hi too.
+    m = data.draw(st.integers(min_value=1, max_value=t + 1), label="m")
+    hi = data.draw(
+        st.one_of(st.integers(0, t), st.integers(0, _WINDOW_TOP[t])), label="hi"
+    )
+    lo = data.draw(
+        st.one_of(st.just(0), st.just(hi), st.integers(min_value=0, max_value=hi)),
+        label="lo",
+    )
+    for paired in (False, True) if m == 1 else (False,):
+        got = _cores(_abacus.core_runs(t, m, lo, hi, paired))
+        want = Counter()
+        for z, c, cores in prefix_runs(t, m, lo, hi, paired):
+            for n, z[c], w in cores:
+                want[n, tuple(z), w] += 1
+        assert got == want, paired
+
+
+def test_block_walk_shape_is_pinned():
+    # the conj15 table's walk: 1,700 rows, the prefixes of runners 4..2 with
+    # a core, and 9,397 cores, each row and each core yielded once
+    runs = _abacus.core_runs(5, 1, 0, 220, paired=True)
+    blocks = [[len(cores) for _, cores in rows] for _, _, rows in runs]
+    assert sum(map(len, blocks)) == 1700
+    assert sum(map(sum, blocks)) == 9397
+
+
+@pytest.mark.parametrize("t", range(2, 10))
 def test_window_walk_matches_the_walker(t):
     # small windows against the conftest walker, which shares nothing with
     # the abacus: a weight-2 core stands for its conjugate too.  The
@@ -453,16 +491,17 @@ def test_core_parts_from_random_charge_vector(drawn):
     hooks = Counter(naive_hooks(parts))
     # hook_columns takes positions with every runner at level >= 0, as the
     # walk gives them: moving every position by the same multiple of t
-    # keeps the core.  Each runner c in turn carries the core as a run of one.
+    # keeps the core.  Each runner c in turn carries the core as a block of
+    # one, with runner c + 1 its row.
     lifted = [zc - t * min(xs) for zc in z]
     for c in range(t):
-        run = [(list(lifted), c, [(n, lifted[c], 1)])]
-        columns, counts = _abacus.hook_columns(run, t, range(1, 13), n, n)
+        block = [core_block(n, list(lifted), c)]
+        columns, counts = _abacus.hook_columns(block, t, range(1, 13), n, n)
         assert counts == [1]
         assert {k: v for k, (v,) in zip(range(1, 13), columns)} == {
             k: hooks[k] for k in range(1, 13)
         }
-    tables, _ = _abacus.hook_table([(z, 0, [(n, z[0], 1)])], t)
+    tables, _ = _abacus.hook_table([core_block(n, z, 0)], t)
     assert tables[n] == hooks
 
 

@@ -21,6 +21,7 @@ from corehooks.hookstats import (
 
 from conftest import (
     charge_vector_of,
+    core_block,
     naive_hook_count,
     naive_hooks,
     naive_is_t_core,
@@ -408,6 +409,26 @@ def test_run_tally_matches_diagram_hooks(t, n_max):
             assert {k: v for k, (v,) in zip(ks, columns) if v} == want[n], n
 
 
+@pytest.mark.parametrize("t,n_max", [(3, 90), (4, 60), (5, 50), (6, 40), (7, 36)])
+def test_tied_runner_terms_match_diagram_hooks(t, n_max):
+    # For r = k mod t = 1 the core's term z_{c+1} - z_c - k reads the row's
+    # runner d = c + 1, and for r = t - 1 its term z_c - z_{c-r} - k does, so
+    # neither may sit in a row's or a block's sum.  Blocks from the range
+    # walk and a window, unfiltered (paired) and under every restricted
+    # filter, against the walker's cores with hooks counted on the diagram.
+    ks = [1, t - 1, t + 1, 2 * t - 1, 2 * t + 1, 3 * t + 1]
+    for f in [PartFilter(), *NARROWED]:
+        want = [[0] * (n_max + 1) for _ in ks]
+        for n, parts in walk_t_cores(t, n_max, False, f.excluded, f.min_part):
+            hooks = Counter(naive_hooks(parts))
+            for column, k in zip(want, ks):
+                column[n] += hooks[k]
+        for lo, hi in ((0, n_max), (n_max // 2, n_max - 2)):
+            runs = _abacus.kept_runs(t, lo, hi, f)
+            columns, _ = _abacus.hook_columns(runs, t, ks, lo, hi)
+            assert columns == [column[lo : hi + 1] for column in want], (f, lo, hi)
+
+
 def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch):
     # Hooks are evaluated only for the cores with x_0 + x_4 >= 0; the
     # weights restore the totals of every core.
@@ -416,9 +437,10 @@ def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch)
 
     def counted(runs, t, ks, lo, hi):
         def watched():
-            for run in runs:
-                seen.extend(run[2])  # the run's cores
-                yield run
+            for block in runs:
+                for _, cores in block[2]:  # the block's rows
+                    seen.extend(cores)
+                yield block
 
         return real(watched(), t, ks, lo, hi)
 
@@ -427,7 +449,7 @@ def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch)
     every = [(n, list(z)) for n, z, _ in _abacus._each_core(_abacus.core_runs(5, 1, 0, 120))]
     x = [charge_vector_of(_abacus.core_parts(z, 5), 5) for _, z in every]
     assert len(seen) == sum(1 for v in x if v[0] + v[4] >= 0)
-    want, want_counts = real(((z, 1, [(n, z[1], 1)]) for n, z in every), 5, (1, 3), 0, 120)
+    want, want_counts = real((core_block(n, z, 1) for n, z in every), 5, (1, 3), 0, 120)
     assert core_counts == want_counts
     assert tables == [{k: v for k, v in zip((1, 3), row) if v} for row in zip(*want)]
 
@@ -457,8 +479,7 @@ def test_one_hooks_minus_last_hooks_closed_form(t, n_max):
     # per core, so a_{t,1}(n) >= a_{t,t-1}(n) for every n
     for n, z, _ in _abacus._each_core(_abacus.core_runs(t, 1, 0, n_max)):
         d = _one_minus_last(vector_of_positions(z, t))
-        run = [(z, 1, [(n, z[1], 1)])]
-        (ones,), (lasts,) = _abacus.hook_columns(run, t, (1, t - 1), n, n)[0]
+        (ones,), (lasts,) = _abacus.hook_columns([core_block(n, z, 1)], t, (1, t - 1), n, n)[0]
         assert ones - lasts == d, (t, z)
         assert 0 <= d <= t - 2
 
