@@ -57,16 +57,17 @@ prefixes are bounded by hi alone, so a window costs one prefix walk plus
 its cores.  So the 4-cores with no parts 1, 2 are N^1: (3L, ..., 6, 3)
 at n = 3L(L+1)/2, thm16's form.
 
-Conjugation maps x to (-x_{t-1}, ..., -x_0), another core of the same
-size with the same hooks, so a total over all cores needs one core of
-each conjugate pair, weighted.  On z', with r = L mod t,
-
-    x_0 + x_{t-1} = (z'_r + z'_{r-1} - 2L - (t-1)) / t,
-
-and a core with a positive sum stands for itself and its conjugate, one
-with sum 0 for itself alone, and one with a negative sum is skipped.
-kept_runs pairs the walk when the filter forbids no value up to hi, so
-that every conjugate passes too, and every reader takes the weight.
+Conjugation gives a core of the same size with the same hooks and swaps
+the largest part with the number of parts L, so a total over all cores
+needs one core of each conjugate pair, weighted.  The highest bead,
+max z' - t, has the other L - 1 beads below it, so lambda_1 - L =
+max z' - (t-1) - 2L: a core with lambda_1 > L stands for itself and its
+conjugate, one with lambda_1 = L for itself alone, and one with
+lambda_1 < L is skipped.  In a row, with top the largest z' of the other
+runners and s their beads, that is top - (t-1) - 2s - 2x while
+m + t*x <= top and (t-2)x + m - (t-1) - 2s past it.  kept_runs pairs the
+walk when the filter forbids no value up to hi, so that every conjugate
+passes too, and every reader takes the weight.
 
 Everything here is iterative, and the callers pass t no larger than
 n + 1, so the work is bounded by n and never by t.
@@ -92,7 +93,8 @@ def core_runs(t: int, m: int, lo: int, hi: int, paired: bool = False) -> Iterato
     with z' set on every runner but c and d = (c + 1) mod t, and rows a
     non-empty list of rows (z'_d, cores), cores a non-empty list of
     (n, z'_c, w), w the number of cores each stands for: 1, unless paired
-    (which needs m = 1) yields one core of each conjugate pair, weighted.
+    (which needs m = 1) yields only the cores with largest part at least
+    L, their number of parts: w = 2 where larger, for the conjugate too.
     c is m, or t - 1 for the empty core alone when m >= t; at c = t - 1,
     d is runner 0, always empty.  z' is one list, rewritten in place
     between yields.
@@ -160,9 +162,10 @@ def core_runs(t: int, m: int, lo: int, hi: int, paired: bool = False) -> Iterato
             fixed[c] = s, w
 
     below = 4 * q * (hi - lo)  # disc less the discriminant of n = lo
-    g_d = g_m + 2
+    g_d, t2 = g_m + 2, t - 2
     for s0, w0, x_lo, x_hi in blocks():
         rows = []
+        top = -1  # the largest z' of the runners but m, set at the block's first core
         for y in range(x_lo, x_hi + 1):
             s = s0 + y
             w = w0 + (t * y + g_d) * y
@@ -197,15 +200,18 @@ def core_runs(t: int, m: int, lo: int, hi: int, paired: bool = False) -> Iterato
                 continue
             if not paired:
                 cores = [(((t1 * x + b) * x + c0) >> 1, m + t * x, 1) for x in xs]
-            else:
+            else:  # lambda_1 - L: h - 2x up to x = edge, then t2*x + e
+                if top < 0:  # z'_m = m raises no maximum, and z'_d only grows
+                    z[m] = m
+                    top = max(z)
+                elif zd > top:
+                    top = zd
+                h, e, edge = top - t1 - 2 * s, b - m, (top - m) // t
                 cores = []
                 for x in xs:
-                    zm = z[m] = m + t * x
-                    L = s + x
-                    r = L % t
-                    v = z[r] + z[r - 1] - 2 * L - t1  # t * (x_0 + x_{t-1})
+                    v = h - 2 * x if x <= edge else t2 * x + e
                     if v >= 0:
-                        cores.append((((t1 * x + b) * x + c0) >> 1, zm, 2 if v else 1))
+                        cores.append((((t1 * x + b) * x + c0) >> 1, m + t * x, 2 if v else 1))
             if cores:
                 rows.append((zd, cores))
         if rows:
@@ -286,6 +292,7 @@ def hook_columns(
     are summed once per block: O(t) per block, O(1) per row and O(1) per
     core for each k.  At r = 1, d is c + r, a core's term, and at
     r = t - 1, d + r is c, which a row reads as empty: c - k - z_d <= 0.
+    A block of one row sums the terms of d and d + r with the fixed ones.
     Every z'_b of a block is at least b, as core_runs yields it, so a
     runner with no bead (z'_b = b) starts no term: z'_{b-r} >= b - r, or
     b - r + t when b < r, and k >= r.  Only the runners with a bead are
@@ -303,14 +310,19 @@ def hook_columns(
     plan = list(groups.items())
     for z, c, rows in blocks:
         d = (c + 1) % t
-        z[c], z[d] = c, d  # both read as empty: rows and cores add their own terms
-        full = [b for b in range(t) if z[b] != b]  # the runners with a bead
+        # runner c reads as empty: cores add their own terms.  So does runner
+        # d, and rows add theirs, unless the block has one row: z_d is fixed.
+        one = len(rows) == 1
+        z[c], z[d] = c, rows[0][0] if one else d
+        full = [b for b, zb in enumerate(z) if zb != b]  # the runners with a bead
         # (column, k, the fixed sum, u, v, c - r, c + r) for each k: a row
         # adds z_d - u and v - z_d, and a core z_c - z_{c-r} - k and
-        # z_{c+r} - z_c - k, where positive
+        # z_{c+r} - z_c - k, where positive; a row's terms as below
         fixed_terms = []
+        terms = []
         for r, columns in plan:
-            cr, dr = (c + r) % t, (d + r) % t
+            cr = (c + r) % t
+            dr = cr if one else (d + r) % t
             for k, column in columns:
                 fixed = 0
                 for b in full:
@@ -318,18 +330,21 @@ def hook_columns(
                         v = z[b] - z[b - r] - k
                         if v > 0:
                             fixed += v
-                u = z[d - r] + k if r != 1 else _NEVER
-                v = z[dr] - k
-                fixed_terms.append((column, k, fixed, u, v, c - r, cr))
+                if one:
+                    terms.append((column, fixed, z[c - r] + k, z[cr] - k))
+                else:
+                    u = z[d - r] + k if r != 1 else _NEVER
+                    fixed_terms.append((column, k, fixed, u, z[dr] - k, c - r, cr))
         for zd, cores in rows:
-            z[d] = zd
-            terms = []
-            for column, k, total, u, v, cb, ca in fixed_terms:
-                if zd > u:
-                    total += zd - u
-                if v > zd:
-                    total += v - zd
-                terms.append((column, total, z[cb] + k, z[ca] - k))
+            if not one:
+                z[d] = zd
+                terms = []
+                for column, k, total, u, v, cb, ca in fixed_terms:
+                    if zd > u:
+                        total += zd - u
+                    if v > zd:
+                        total += v - zd
+                    terms.append((column, total, z[cb] + k, z[ca] - k))
             for n, zc, w in cores:
                 i = n - lo
                 core_counts[i] += w

@@ -435,8 +435,9 @@ def prefix_runs(t: int, m: int, lo: int, hi: int, paired: bool = False):
         for x in xs:
             n = ((t1 * x + b) * x + c0) >> 1
             zm = z[m] = m + t * x
-            L = s + x
-            v = z[L % t] + z[L % t - 1] - 2 * L - t1  # t * (x_0 + x_{t-1})
+            # lambda_1 - ell: the highest bead, max(z') - t, less the L - 1
+            # beads below it, against the L parts
+            v = max(z) - t1 - 2 * (s + x)
             if not paired:
                 cores.append((n, zm, 1))
             elif v >= 0:

@@ -376,6 +376,14 @@ RECORDED_SHA256 = [
     ("enum --n 90 --min-part 7", 0, "b942d2962c4ce8b6bd71fc9185cdfb2b57f8a23227a4892f324cbf2de7341922"),
     ("enum --n 70 --exclude 1,3,5", 0, "c3616a569930d210bc7367378e8c73c57d7904fe80967d9eb223480dc23fdad8"),
     ("verify --check region --n-max 25 --format json", 0, "f6ab64f6d42ae6cf251494bb187c42d900b896a231f9063f3d384bcbaeeef247"),
+    # recorded while the paired walk kept the core of each conjugate pair
+    # with x_0 + x_{t-1} >= 0: a paired range at t = 7 and 9, an ordered
+    # stream holding the pair (5,5,2,2,1), (5,4,2,2,2) with largest part
+    # equal to length, and prop21's paired tables
+    ("conj-scan --t 7 --ks 1,6 --relations >= --n-max 80 --format csv", 0, "624cfa7cd35fec4e7a237e5f59598dca542e81d9f2fde6a3d33108cdae58d58b"),
+    ("count --t 9 --k 1,8,10 --n 0..45 --format json", 0, "844e9aba57b2152855e682d430f2dfcdb7a3cbf8ce468b8b78d9b206bbfa9d3a"),
+    ("enum --t 5 --n 15", 0, "e2a960dc84ffb2eef8608169a63da05674c900e0dbe0c5e3d8c8dfeae1da42ce"),
+    ("verify --check prop21 --n-max 300 --format json", 0, "558f48fe814685043af42ba9cc88d075eac54f515e7382703103c16ad0150368"),
 ]
 
 

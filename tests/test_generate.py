@@ -238,7 +238,8 @@ def test_streams_with_t_above_n_are_partitions(f):
 
 def test_conjugate_pair_of_weight_one_is_streamed_once_each():
     # (5,5,2,2,1) and (5,4,2,2,2) are conjugate 5-cores of 15 with
-    # x_0 + x_4 = 0, so the paired walk yields each with weight 1
+    # largest part equal to length, so the paired walk yields each with
+    # weight 1
     pair = [(5, 5, 2, 2, 1), (5, 4, 2, 2, 2)]
     assert Partition(pair[0]).conjugate().parts == pair[1]
     weights = Counter()
@@ -393,12 +394,15 @@ def test_block_walk_matches_the_prefix_walk(t, data):
 
 
 def test_block_walk_shape_is_pinned():
-    # the conj15 table's walk: 1,700 rows, the prefixes of runners 4..2 with
-    # a core, and 9,397 cores, each row and each core yielded once
+    # the conj15 table's walk: 148 blocks, the prefixes of runners 4..3
+    # with a kept core, 1,430 rows, the prefixes of runners 4..2 with one,
+    # and 9,052 cores, one of each conjugate pair with lambda_1 >= ell,
+    # each block, row and core yielded once
     runs = _abacus.core_runs(5, 1, 0, 220, paired=True)
     blocks = [[len(cores) for _, cores in rows] for _, _, rows in runs]
-    assert sum(map(len, blocks)) == 1700
-    assert sum(map(sum, blocks)) == 9397
+    assert len(blocks) == 148
+    assert sum(map(len, blocks)) == 1430
+    assert sum(map(sum, blocks)) == 9052
 
 
 @pytest.mark.parametrize("t", range(2, 10))
@@ -448,13 +452,18 @@ def test_conjugate_charge_vector_is_the_conjugate_core(t):
         assert Counter(naive_hooks(conj)) == Counter(naive_hooks(parts)), (t, parts)
 
 
+def _largest_less_length(parts):
+    """lambda_1 - ell, 0 for the empty partition."""
+    return (parts[0] if parts else 0) - len(parts)
+
+
 @pytest.mark.parametrize("t", range(2, 8))
 def test_paired_weights_core_by_core(t):
-    # paired yields weight 2 for exactly one core of each pair of conjugate
-    # cores with x_0 + x_{t-1} != 0 and skips the other.  A core with
-    # x_0 + x_{t-1} = 0 has weight 1, and so has its conjugate, the same
-    # core when it is self-conjugate.  The cores, their conjugates and
-    # their charge vectors come from the walker and the conftest beads.
+    # paired yields weight 2 for the core of each pair of conjugate cores
+    # whose largest part exceeds its length and skips the other.  A core
+    # with lambda_1 = ell has weight 1, and so has its conjugate, the same
+    # core when it is self-conjugate.  The cores and their conjugates come
+    # from the walker.
     weights = Counter()
     for n, z, w in _abacus._each_core(_abacus.core_runs(t, 1, 0, 40, True)):
         parts = _abacus.core_parts(z, t)
@@ -464,11 +473,65 @@ def test_paired_weights_core_by_core(t):
     assert set(weights) <= cores
     for parts in cores:
         conj = Partition(parts).conjugate().parts
-        x = charge_vector_of(parts, t)
-        if conj == parts or x[0] + x[-1] == 0:
+        phi = _largest_less_length(parts)
+        if phi == 0:
             assert weights[parts] == weights[conj] == 1, (t, parts)
+        elif phi > 0:
+            assert (weights[parts], weights[conj]) == (2, 0), (t, parts)
         else:
-            assert sorted((weights[parts], weights[conj])) == [0, 2], (t, parts)
+            assert (weights[parts], weights[conj]) == (0, 2), (t, parts)
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_paired_cores_are_those_with_largest_part_at_least_length(t):
+    # Each paired core, read into parts by the conftest beads and found
+    # among the walker's cores, has weight 2 when lambda_1 > ell and 1 when
+    # lambda_1 = ell, and no core with lambda_1 < ell appears; every core
+    # of the walker with lambda_1 >= ell appears once.
+    want = {parts for _, parts in walk_t_cores(t, 40, False) if _largest_less_length(parts) >= 0}
+    got = Counter()
+    for n, z, w in _abacus._each_core(_abacus.core_runs(t, 1, 0, 40, True)):
+        parts = _partition_from_vector(vector_of_positions(z, t), t)
+        assert sum(parts) == n
+        phi = _largest_less_length(parts)
+        assert phi >= 0, (t, parts)
+        assert w == (2 if phi else 1), (t, parts)
+        got[parts] += 1
+    assert got == Counter(want)
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_paired_rows_keep_the_cores_with_largest_part_at_least_length(t, data):
+    # Row by row, the paired walk keeps exactly the cores of the unpaired
+    # walk of the same window whose largest part is at least their
+    # length, weight 2 when it is more, with lambda_1 - ell read per core
+    # from core_parts: ranges, windows with one or two intervals of x'_1
+    # per row, and lo = hi.
+    hi = data.draw(st.integers(min_value=0, max_value=_WINDOW_TOP[t]), label="hi")
+    lo = data.draw(
+        st.one_of(st.just(0), st.just(hi), st.integers(min_value=0, max_value=hi)),
+        label="lo",
+    )
+
+    def rows(paired):
+        out = {}
+        for z, c, block in _abacus.core_runs(t, 1, lo, hi, paired):
+            d = (c + 1) % t
+            for z[d], cores in block:
+                key = tuple(v for b, v in enumerate(z) if b != c)
+                kept = out[key] = set()
+                for n, z[c], w in cores:
+                    if not paired:
+                        phi = _largest_less_length(_abacus.core_parts(z, t))
+                        if phi < 0:
+                            continue
+                        w = 2 if phi else 1
+                    kept.add((n, z[c], w))
+        return {key: kept for key, kept in out.items() if kept}
+
+    assert rows(True) == rows(False)
 
 
 @settings(max_examples=60, deadline=None)

@@ -430,8 +430,8 @@ def test_tied_runner_terms_match_diagram_hooks(t, n_max):
 
 
 def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch):
-    # Hooks are evaluated only for the cores with x_0 + x_4 >= 0; the
-    # weights restore the totals of every core.
+    # Hooks are evaluated only for the cores whose largest part is at
+    # least their length; the weights restore the totals of every core.
     seen = []
     real = _abacus.hook_columns
 
@@ -447,8 +447,8 @@ def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch)
     monkeypatch.setattr(_abacus, "hook_columns", counted)
     tables, core_counts = hook_count_table(5, 120, ks=(1, 3))
     every = [(n, list(z)) for n, z, _ in _abacus._each_core(_abacus.core_runs(5, 1, 0, 120))]
-    x = [charge_vector_of(_abacus.core_parts(z, 5), 5) for _, z in every]
-    assert len(seen) == sum(1 for v in x if v[0] + v[4] >= 0)
+    parts = [_abacus.core_parts(z, 5) for _, z in every]
+    assert len(seen) == sum(1 for p in parts if (p[0] if p else 0) >= len(p))
     want, want_counts = real((core_block(n, z, 1) for n, z in every), 5, (1, 3), 0, 120)
     assert core_counts == want_counts
     assert tables == [{k: v for k, v in zip((1, 3), row) if v} for row in zip(*want)]
