@@ -311,13 +311,13 @@ def hook_columns(
     for z, c, rows in blocks:
         d = (c + 1) % t
         # runner c reads as empty: cores add their own terms.  So does runner
-        # d, and rows add theirs, unless the block has one row: z_d is fixed.
+        # d, and rows add theirs, unless the block has one row: then z_d is set.
         one = len(rows) == 1
         z[c], z[d] = c, rows[0][0] if one else d
         full = [b for b, zb in enumerate(z) if zb != b]  # the runners with a bead
         # (column, k, the fixed sum, u, v, c - r, c + r) for each k: a row
-        # adds z_d - u and v - z_d, and a core z_c - z_{c-r} - k and
-        # z_{c+r} - z_c - k, where positive; a row's terms as below
+        # adds z_d - u and v - z_d to make its terms, and a core z_c - z_{c-r}
+        # - k and z_{c+r} - z_c - k, where positive; one row's come at once
         fixed_terms = []
         terms = []
         for r, columns in plan:
