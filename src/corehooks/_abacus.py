@@ -292,7 +292,6 @@ def hook_columns(
     are summed once per block: O(t) per block, O(1) per row and O(1) per
     core for each k.  At r = 1, d is c + r, a core's term, and at
     r = t - 1, d + r is c, which a row reads as empty: c - k - z_d <= 0.
-    A block of one row sums the terms of d and d + r with the fixed ones.
     Every z'_b of a block is at least b, as core_runs yields it, so a
     runner with no bead (z'_b = b) starts no term: z'_{b-r} >= b - r, or
     b - r + t when b < r, and k >= r.  Only the runners with a bead are
@@ -310,19 +309,14 @@ def hook_columns(
     plan = list(groups.items())
     for z, c, rows in blocks:
         d = (c + 1) % t
-        # runner c reads as empty: cores add their own terms.  So does runner
-        # d, and rows add theirs, unless the block has one row: then z_d is set.
-        one = len(rows) == 1
-        z[c], z[d] = c, rows[0][0] if one else d
-        full = [b for b, zb in enumerate(z) if zb != b]  # the runners with a bead
+        z[c], z[d] = c, d  # both read as empty: rows and cores add their own terms
+        full = [b for b in range(t) if z[b] != b]  # the runners with a bead
         # (column, k, the fixed sum, u, v, c - r, c + r) for each k: a row
-        # adds z_d - u and v - z_d to make its terms, and a core z_c - z_{c-r}
-        # - k and z_{c+r} - z_c - k, where positive; one row's come at once
+        # adds z_d - u and v - z_d, and a core z_c - z_{c-r} - k and
+        # z_{c+r} - z_c - k, where positive
         fixed_terms = []
-        terms = []
         for r, columns in plan:
-            cr = (c + r) % t
-            dr = cr if one else (d + r) % t
+            cr, dr = (c + r) % t, (d + r) % t
             for k, column in columns:
                 fixed = 0
                 for b in full:
@@ -330,21 +324,18 @@ def hook_columns(
                         v = z[b] - z[b - r] - k
                         if v > 0:
                             fixed += v
-                if one:
-                    terms.append((column, fixed, z[c - r] + k, z[cr] - k))
-                else:
-                    u = z[d - r] + k if r != 1 else _NEVER
-                    fixed_terms.append((column, k, fixed, u, z[dr] - k, c - r, cr))
+                u = z[d - r] + k if r != 1 else _NEVER
+                v = z[dr] - k
+                fixed_terms.append((column, k, fixed, u, v, c - r, cr))
         for zd, cores in rows:
-            if not one:
-                z[d] = zd
-                terms = []
-                for column, k, total, u, v, cb, ca in fixed_terms:
-                    if zd > u:
-                        total += zd - u
-                    if v > zd:
-                        total += v - zd
-                    terms.append((column, total, z[cb] + k, z[ca] - k))
+            z[d] = zd
+            terms = []
+            for column, k, total, u, v, cb, ca in fixed_terms:
+                if zd > u:
+                    total += zd - u
+                if v > zd:
+                    total += v - zd
+                terms.append((column, total, z[cb] + k, z[ca] - k))
             for n, zc, w in cores:
                 i = n - lo
                 core_counts[i] += w

@@ -131,6 +131,12 @@ def charge_vector_of(parts: tuple[int, ...], t: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def largest_less_length(parts: tuple[int, ...]) -> int:
+    """lambda_1 - ell, the largest part less the number of parts; 0 for
+    the empty partition.  Conjugation changes its sign."""
+    return (parts[0] if parts else 0) - len(parts)
+
+
 def vector_of_positions(z, t: int) -> tuple[int, ...]:
     """The charge vector of the core whose runner c has its first empty
     position at z[c] (z[c] = c mod t), wherever its beads begin: with L

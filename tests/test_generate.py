@@ -25,6 +25,7 @@ from conftest import (
     core_block,
     five_core_count,
     is_square_free,
+    largest_less_length,
     naive_hooks,
     naive_is_t_core,
     naive_partitions,
@@ -452,11 +453,6 @@ def test_conjugate_charge_vector_is_the_conjugate_core(t):
         assert Counter(naive_hooks(conj)) == Counter(naive_hooks(parts)), (t, parts)
 
 
-def _largest_less_length(parts):
-    """lambda_1 - ell, 0 for the empty partition."""
-    return (parts[0] if parts else 0) - len(parts)
-
-
 @pytest.mark.parametrize("t", range(2, 8))
 def test_paired_weights_core_by_core(t):
     # paired yields weight 2 for the core of each pair of conjugate cores
@@ -473,7 +469,7 @@ def test_paired_weights_core_by_core(t):
     assert set(weights) <= cores
     for parts in cores:
         conj = Partition(parts).conjugate().parts
-        phi = _largest_less_length(parts)
+        phi = largest_less_length(parts)
         if phi == 0:
             assert weights[parts] == weights[conj] == 1, (t, parts)
         elif phi > 0:
@@ -488,12 +484,12 @@ def test_paired_cores_are_those_with_largest_part_at_least_length(t):
     # among the walker's cores, has weight 2 when lambda_1 > ell and 1 when
     # lambda_1 = ell, and no core with lambda_1 < ell appears; every core
     # of the walker with lambda_1 >= ell appears once.
-    want = {parts for _, parts in walk_t_cores(t, 40, False) if _largest_less_length(parts) >= 0}
+    want = {parts for _, parts in walk_t_cores(t, 40, False) if largest_less_length(parts) >= 0}
     got = Counter()
     for n, z, w in _abacus._each_core(_abacus.core_runs(t, 1, 0, 40, True)):
         parts = _partition_from_vector(vector_of_positions(z, t), t)
         assert sum(parts) == n
-        phi = _largest_less_length(parts)
+        phi = largest_less_length(parts)
         assert phi >= 0, (t, parts)
         assert w == (2 if phi else 1), (t, parts)
         got[parts] += 1
@@ -524,7 +520,7 @@ def test_paired_rows_keep_the_cores_with_largest_part_at_least_length(t, data):
                 kept = out[key] = set()
                 for n, z[c], w in cores:
                     if not paired:
-                        phi = _largest_less_length(_abacus.core_parts(z, t))
+                        phi = largest_less_length(_abacus.core_parts(z, t))
                         if phi < 0:
                             continue
                         w = 2 if phi else 1

@@ -22,6 +22,7 @@ from corehooks.hookstats import (
 from conftest import (
     charge_vector_of,
     core_block,
+    largest_less_length,
     naive_hook_count,
     naive_hooks,
     naive_is_t_core,
@@ -29,7 +30,7 @@ from conftest import (
     vector_of_positions,
     walk_t_cores,
 )
-from test_generate import NARROWED, _largest_less_length
+from test_generate import NARROWED
 
 C1 = PartFilter(excluded=frozenset({1}))
 C12 = PartFilter(excluded=frozenset({1, 2}))
@@ -448,7 +449,7 @@ def test_unfiltered_table_evaluates_one_core_of_each_conjugate_pair(monkeypatch)
     tables, core_counts = hook_count_table(5, 120, ks=(1, 3))
     every = [(n, list(z)) for n, z, _ in _abacus._each_core(_abacus.core_runs(5, 1, 0, 120))]
     parts = [_abacus.core_parts(z, 5) for _, z in every]
-    assert len(seen) == sum(1 for p in parts if _largest_less_length(p) >= 0)
+    assert len(seen) == sum(1 for p in parts if largest_less_length(p) >= 0)
     want, want_counts = real((core_block(n, z, 1) for n, z in every), 5, (1, 3), 0, 120)
     assert core_counts == want_counts
     assert tables == [{k: v for k, v in zip((1, 3), row) if v} for row in zip(*want)]
