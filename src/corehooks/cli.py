@@ -139,13 +139,17 @@ def _write_output(text: str | Iterable[str], out: str | None):
 
 
 def _write_table(args, header: tuple[str, ...], rows: Iterable[tuple]):
-    """Write rows of ints as csv (a header line, then one line per row) or,
-    with --format json, as a list of objects keyed by the header.
+    """Write rows as csv (a header line, then one line per row) or, with
+    --format json, as a list of objects keyed by the header.  Each row is
+    a tuple (a named tuple too) as long as the header; a row of another
+    length raises TypeError.
 
-    The json text has the bytes of json.dumps(..., indent=2) without its
-    pure-Python encoder: one template per row holds the json.dumps keys,
-    and each value is filled in as int.__repr__, which raises TypeError
-    for a value that is not an int.
+    Either format fills one %-template per table with each row.  The csv
+    line is the row's values joined by commas, each as str.  The json
+    text has the bytes of json.dumps(..., indent=2) without its
+    pure-Python encoder: the template holds the json.dumps keys, and each
+    value is filled in as int.__repr__, which raises TypeError for a
+    value that is not an int.
     """
     if args.format == "json":
         template = "  {\n" + ",\n".join(
@@ -154,9 +158,8 @@ def _write_table(args, header: tuple[str, ...], rows: Iterable[tuple]):
         body = ",\n".join([template % tuple(map(int.__repr__, row)) for row in rows])
         text = f"[\n{body}\n]\n" if body else "[]\n"
     else:
-        text = ",".join(header) + "\n" + "".join(
-            ",".join(map(str, row)) + "\n" for row in rows
-        )
+        line = ",".join(["%s"] * len(header)) + "\n"
+        text = ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
     _write_output(text, args.out)
 
 
@@ -168,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, fmt_choices=("csv", "json")):
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
+        if fmt_choices:
+            p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("enum", help="stream partitions as JSON lines")
@@ -178,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to t-cores (0: all partitions)")
     p.add_argument("--exclude", help="comma separated part values to exclude")
     p.add_argument("--min-part", type=_decimal, default=1)
-    common(p, ("jsonl",))
+    common(p, ())  # one partition per line, no --format
 
     p = sub.add_parser("count", help="total k-hooks over the t-cores of n")
     p.set_defaults(run=_cmd_count)
@@ -226,7 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma separated relations between adjacent ks (>=, <=, =)")
     p.add_argument("--exclude")
     p.add_argument("--min-part", type=_decimal, default=1)
-    p.add_argument("--seed-dump", action="store_true")
+    p.add_argument("--seed-dump", action="store_true",
+                   help="on failure, dump the enumerated witness sets "
+                   "(text and json formats)")
     common(p, ("text", "csv", "json"))
 
     p = sub.add_parser("quadform", help="all-odd ternary representations per h")
@@ -347,6 +353,8 @@ def _cmd_conj_scan(args) -> int:
         raise UsageError(
             f"need {len(ks) - 1} relations for {len(ks)} hook lengths"
         )
+    if args.seed_dump and args.format == "csv":
+        raise UsageError("--seed-dump needs --format text or json, not csv")
     records = bias_table(t, ks, 0, n_max, f, relations)
     fails = [r for r in records if r.verdict == FAILS]
     if args.format == "csv":

@@ -4,21 +4,24 @@ These series provide generating-function oracles that are computed without
 ever enumerating a partition: the t-core counting series of the eta-style
 product, the triangular-number indicator, and a triple series over shifted
 triangular numbers.  The t-core series is its product divided by
-Euler's pentagonal series: O(sqrt(n)) additions per coefficient, and
-every intermediate integer is a core count.  The numerator is a power of
-the pentagonal series, multiplied out term by term.  A series is a
-frozen tuple of Python int coefficients, read by exponent, so every
-value is exact at any size.
+Euler's pentagonal series: O(sqrt(n)) additions per coefficient, made a
+block of sizes at a time, in exact integers with no division.  The
+numerator is a power of the pentagonal series, multiplied out term by
+term.  A series is a frozen tuple of Python int coefficients, read by
+exponent, so every value is exact at any size.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from math import isqrt
 from operator import add, sub
 from typing import Iterable
 
 from .partition import _integer
+
+# sizes per block of core_count_series, chosen by timing lengths 16 to 256
+_BLOCK = 32
 
 
 class TruncatedSeries(tuple):
@@ -62,10 +65,16 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
     multiplications by the pentagonal series, through q^(order/t) only
     (_euler_power).
 
-    Nothing is enumerated or divided, and each c_n costs O(sqrt(n))
-    additions, so the series costs O(order^1.5) plus
-    O(t * (order / t)^1.5) for g.  Every intermediate c_n is a core count:
-    for t > order the counts are the partition numbers p(n).
+    The sizes are taken _BLOCK at a time.  A pentagonal term e >= _BLOCK
+    reads only coefficients before the block, so each such term is one
+    slice of the finished coefficients, and the block sums its slices
+    element by element in one pass; only the terms e < _BLOCK are added
+    per n, in increasing n.  _BLOCK zeros before c_0 stand for the
+    negative indices, so every read is in range.  Nothing is enumerated,
+    the integers are exact and nothing is divided: each c_n costs
+    O(sqrt(n)) additions, so the series costs O(order^1.5) plus
+    O(t * (order / t)^1.5) for g.  For t > order the counts are the
+    partition numbers p(n).
     """
     t, order = _integer(t, "t", 2), _integer(order, "order", 0)
     # the pentagonal numbers k(3k-1)/2 and k(3k+1)/2, split by the sign of
@@ -76,17 +85,22 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
     while k * (3 * k - 1) // 2 <= order:
         (adds if k % 2 else subs).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
         k += 1
-    g = [0] * (order + 1)
-    g[::t] = _euler_power(t, order // t, adds, subs)
-    c: list[int] = []
+    c = [0] * (_BLOCK + order + 1)  # c_n at c[_BLOCK + n]
+    c[_BLOCK::t] = _euler_power(t, order // t, adds, subs)
+    i, j = bisect_left(adds, _BLOCK), bisect_left(subs, _BLOCK)
+    near_adds, far_adds, near_subs, far_subs = adds[:i], adds[i:], subs[:j], subs[j:]
+    zeros = [0] * _BLOCK  # the far subs' sums run the block's length even with none
     get = c.__getitem__
-    for n in range(order + 1):
-        c.append(
-            g[n]
-            + sum(map(get, map(n.__sub__, adds[: bisect_right(adds, n)])))
-            - sum(map(get, map(n.__sub__, subs[: bisect_right(subs, n)])))
-        )
-    return TruncatedSeries(tuple(c))
+    for lo in range(_BLOCK, len(c), _BLOCK):
+        hi = min(lo + _BLOCK, len(c))
+        # the far terms that reach the block: e at most its last size
+        plus = [c[lo - e : hi - e] for e in far_adds[: bisect_left(far_adds, hi - _BLOCK)]]
+        minus = [c[lo - e : hi - e] for e in far_subs[: bisect_left(far_subs, hi - _BLOCK)]]
+        c[lo:hi] = map(sub, map(sum, zip(c[lo:hi], *plus)), map(sum, zip(zeros, *minus)))
+        for n in range(lo, hi):
+            at = n.__sub__
+            c[n] += sum(map(get, map(at, near_adds))) - sum(map(get, map(at, near_subs)))
+    return TruncatedSeries(c[_BLOCK:])
 
 
 def _euler_power(t: int, top: int, minus: list[int], plus: list[int]) -> list[int]:

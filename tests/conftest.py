@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's own algorithms.  Hook
 lengths are counted box by box directly on the diagram, partitions are
 generated by a plain recursive construction, t-cores by a part-by-part
 walker, and core counts by divisor sums and class numbers, so that the fast paths in the
-package are always checked against a second route.
+package are always checked against a second route.  recurrence_core_series
+is the exception: it takes g from qseries and checks only the order in
+which core_count_series evaluates the recurrence.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from hypothesis import strategies as st
+
+from corehooks.qseries import _euler_power
 
 
 def naive_partitions(
@@ -78,6 +82,29 @@ def naive_core_series(t: int, order: int) -> list[int]:
             for _ in range(t):
                 poly = times(poly, [(0, 1), (t * j, -1)])
     return poly
+
+
+def recurrence_core_series(t: int, order: int) -> list[int]:
+    """Coefficients up to q^order of the same product by Euler's
+    pentagonal recurrence, one coefficient after another: c_n is g_n plus
+    the c_(n - e) of the pentagonal numbers e <= n with k odd, less those
+    with k even, each c_n its own sum.  g comes from qseries._euler_power,
+    so only the order of evaluation is checked."""
+    adds, subs = [], []
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        (adds if k % 2 else subs).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+        k += 1
+    g = [0] * (order + 1)
+    g[::t] = _euler_power(t, order // t, adds, subs)
+    c: list[int] = []
+    for n in range(order + 1):
+        c.append(
+            g[n]
+            + sum(c[n - e] for e in adds if e <= n)
+            - sum(c[n - e] for e in subs if e <= n)
+        )
+    return c
 
 
 def partition_parts(max_n: int = 40, max_len: int = 10):

@@ -108,6 +108,9 @@ ERROR_CONTRACT = [
     ("count --t 3 --k 1 --n 10..1_2", "n range end must be an integer, got '1_2'"),
     ("enum --n 5 --exclude ３", "exclude must be an integer, got '３'"),
     ("conj-scan --n-max 5 --ks 1,0_3", "ks must be an integer, got '0_3'"),
+    # a csv table has no place for the dump, and the scan is not run
+    ("conj-scan --t 5 --ks 1,3,6 --n-max 100 --format csv --seed-dump",
+     "--seed-dump needs --format text or json, not csv"),
 ]
 
 
@@ -274,6 +277,23 @@ def test_enum_jsonl(capsys):
     assert [json.loads(line) for line in out.splitlines()]
 
 
+def test_seed_dump_with_csv_is_refused_before_the_scan(capsys, monkeypatch):
+    def scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli, "bias_table", scan)
+    code, out, err = run_cli(capsys, "conj-scan", "--n-max", "10", "--format", "csv", "--seed-dump")
+    assert (code, out, err) == (2, "", "corehooks: error: --seed-dump needs --format text or json, not csv\n")
+
+
+def test_enum_takes_no_format(capsys):
+    # enum prints one partition per line whatever is asked; --format is
+    # not one of its options
+    code, out, err = run_cli(capsys, "enum", "--n", "3", "--format", "jsonl")
+    assert (code, out) == (2, "")
+    assert err.endswith("corehooks: error: unrecognized arguments: --format jsonl\n")
+
+
 def test_enum_all_partitions(capsys):
     code, out, _ = run_cli(capsys, "enum", "--n", "4")
     assert code == 0
@@ -384,6 +404,15 @@ RECORDED_SHA256 = [
     ("count --t 9 --k 1,8,10 --n 0..45 --format json", 0, "844e9aba57b2152855e682d430f2dfcdb7a3cbf8ce468b8b78d9b206bbfa9d3a"),
     ("enum --t 5 --n 15", 0, "e2a960dc84ffb2eef8608169a63da05674c900e0dbe0c5e3d8c8dfeae1da42ce"),
     ("verify --check prop21 --n-max 300 --format json", 0, "558f48fe814685043af42ba9cc88d075eac54f515e7382703103c16ad0150368"),
+    # recorded while core_count_series made each c_n in its own sum and a
+    # csv line joined str() of each value: the nocore series, t > order
+    # across several blocks of sizes, order 0, named-tuple rows and a count
+    # range
+    ("series --t 9 --order 2000", 0, "154ee4ad95b424508cf26005a935b7ca6705b8717d408eb1b8013f0766144f39"),
+    ("series --t 40 --order 300", 0, "1fdc17cf9d72ed6f2c2857dde37e0b77cdff84cbde942f7fea0114f37c8c7db4"),
+    ("series --t 2 --order 0", 0, "57c5e1f94a70328b102d0adfa0ee3d7181e8c7fcf88122a199f866a8782a0dd6"),
+    ("quadform --h-max 60 --format csv", 0, "8aa6b5b60223c9fc58791368a913912b082ad16c46e587566eee5b337aa56451"),
+    ("count --t 5 --k 1,3,6 --n 0..300", 0, "d801d7cb1da30e3caa94b5ad7451a0af5f0bbeb6271b3fe8a8ead971f09c8f4d"),
 ]
 
 

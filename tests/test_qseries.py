@@ -6,13 +6,14 @@ import pytest
 from corehooks import _abacus
 from corehooks.generate import count_t_cores, iter_partition_parts
 from corehooks.qseries import (
+    _BLOCK,
     core_count_series,
     triangular_indicator_series,
     triple_triangular_series,
     verify_identity,
 )
 
-from conftest import naive_core_series
+from conftest import naive_core_series, recurrence_core_series
 
 
 def test_mul_order_mismatch():
@@ -79,6 +80,26 @@ def test_identity_4core_triple_to_5000():
 def test_identity_mismatch_reports_first_index():
     ok, idx = verify_identity(triangular_indicator_series(10), core_count_series(3, 10))
     assert not ok and idx == 2  # two 3-cores of 2, indicator gives 0
+
+
+@pytest.mark.parametrize("t", range(2, 14))
+def test_blocks_match_the_recurrence_one_n_at_a_time(t):
+    # orders at and beside the edges of the first blocks, and one far past
+    for order in (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1000):
+        assert list(core_count_series(t, order)) == recurrence_core_series(t, order), order
+
+
+def test_blocks_above_order_give_the_partition_numbers():
+    # t > order: g is 1 at n = 0 only, so the c_n are the p(n)
+    p = recurrence_core_series(2 * _BLOCK + 2, 2 * _BLOCK + 1)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert list(core_count_series(2 * _BLOCK + 2, 2 * _BLOCK + 1)) == p
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_coefficients_match_core_counts_through_60(t):
+    s = core_count_series(t, 60)
+    assert list(s) == [count_t_cores(n, t) for n in range(61)]
 
 
 def test_coefficients_match_enumeration():

@@ -129,6 +129,21 @@ def test_odd_representation_validation():
         odd_representation(2)._replace(x=5)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        # 3^2 + 2 + 2 = 13 = 3^2 + 4 holds, but h = 1 is below the bound
+        ((1, 3, 1, 1, 1, 0, 0), "h must be at least 2, got 1"),
+        # (-3)^2 + 2 + 2 * 3^2 = 29 = 5^2 + 4 holds, but x is negative
+        ((2, -3, 1, 3, -2, 0, 1), "x must be a positive odd integer, got -3"),
+    ],
+)
+def test_odd_representation_names_the_failed_bound(fields, message):
+    with pytest.raises(ValueError) as exc:
+        OddRepresentation(*fields)
+    assert str(exc.value) == message
+
+
 def test_odd_forcing_on_all_representations():
     # for numbers 5 mod 8, any representation has x odd and y, z odd
     for N in range(5, 5001, 8):
