@@ -68,9 +68,11 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
     The sizes are taken _BLOCK at a time.  A pentagonal term e >= _BLOCK
     reads only coefficients before the block, so each such term is one
     slice of the finished coefficients, and the block sums its slices
-    element by element in one pass; only the terms e < _BLOCK are added
-    per n, in increasing n.  _BLOCK zeros before c_0 stand for the
-    negative indices, so every read is in range.  Nothing is enumerated,
+    element by element in one pass.  The eight terms e < _BLOCK (1, 2,
+    12 and 15 added, 5, 7, 22 and 26 subtracted) are one fixed sum per
+    n, in increasing n.  _BLOCK zeros before c_0 stand for the negative
+    indices, so every read is in range and the fixed sum holds at every
+    order: a term beyond n reads a zero.  Nothing is enumerated,
     the integers are exact and nothing is divided: each c_n costs
     O(sqrt(n)) additions, so the series costs O(order^1.5) plus
     O(t * (order / t)^1.5) for g.  For t > order the counts are the
@@ -87,19 +89,20 @@ def core_count_series(t: int, order: int) -> TruncatedSeries:
         k += 1
     c = [0] * (_BLOCK + order + 1)  # c_n at c[_BLOCK + n]
     c[_BLOCK::t] = _euler_power(t, order // t, adds, subs)
-    i, j = bisect_left(adds, _BLOCK), bisect_left(subs, _BLOCK)
-    near_adds, far_adds, near_subs, far_subs = adds[:i], adds[i:], subs[:j], subs[j:]
+    far_adds, far_subs = adds[bisect_left(adds, _BLOCK) :], subs[bisect_left(subs, _BLOCK) :]
     zeros = [0] * _BLOCK  # the far subs' sums run the block's length even with none
-    get = c.__getitem__
     for lo in range(_BLOCK, len(c), _BLOCK):
         hi = min(lo + _BLOCK, len(c))
         # the far terms that reach the block: e at most its last size
         plus = [c[lo - e : hi - e] for e in far_adds[: bisect_left(far_adds, hi - _BLOCK)]]
         minus = [c[lo - e : hi - e] for e in far_subs[: bisect_left(far_subs, hi - _BLOCK)]]
         c[lo:hi] = map(sub, map(sum, zip(c[lo:hi], *plus)), map(sum, zip(zeros, *minus)))
+        # the near terms, the pentagonal numbers below _BLOCK: k = 1..4
         for n in range(lo, hi):
-            at = n.__sub__
-            c[n] += sum(map(get, map(at, near_adds))) - sum(map(get, map(at, near_subs)))
+            c[n] += (
+                c[n - 1] + c[n - 2] - c[n - 5] - c[n - 7]
+                + c[n - 12] + c[n - 15] - c[n - 22] - c[n - 26]
+            )
     return TruncatedSeries(c[_BLOCK:])
 
 

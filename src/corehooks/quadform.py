@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import sub
 
 from .generate import count_t_cores
@@ -32,31 +32,23 @@ class OddRepresentation(namedtuple("OddRepresentation", "h x y z m r s")):
     __slots__ = ()
 
     def __new__(cls, h: int, x: int, y: int, z: int, m: int, r: int, s: int):
-        self = super().__new__(cls, h, x, y, z, m, r, s)
-        if self.h < 2:
-            raise ValueError(f"h must be at least 2, got {self.h}")
-        target = (2 * self.h + 1) ** 2 + 4
-        if self.x ** 2 + 2 * self.y ** 2 + 2 * self.z ** 2 != target:
-            raise ValueError(f"not a representation of {target}: {self}")
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
+        fields = (h, x, y, z, m, r, s)
+        if h < 2:
+            raise ValueError(f"h must be at least 2, got {h}")
+        target = (2 * h + 1) ** 2 + 4
+        if x * x + 2 * y * y + 2 * z * z != target:
+            raise ValueError(f"not a representation of {target}: {tuple.__new__(cls, fields)}")
+        for name, v in (("x", x), ("y", y), ("z", z)):
             if v < 1 or v % 2 == 0:
                 raise ValueError(f"{name} must be a positive odd integer, got {v}")
-        if (self.x, self.y, self.z) != (
-            2 * self.m + 1,
-            2 * self.r + 1,
-            2 * self.s + 1,
-        ):
-            raise ValueError(f"(m, r, s) do not match (x, y, z): {self}")
-        lhs = self.h * (self.h + 1) // 2
-        rhs = (
-            self.m * (self.m + 1) // 2
-            + self.r * (self.r + 1)
-            + self.s * (self.s + 1)
-        )
+        if (x, y, z) != (2 * m + 1, 2 * r + 1, 2 * s + 1):
+            raise ValueError(f"(m, r, s) do not match (x, y, z): {tuple.__new__(cls, fields)}")
+        # implied by the checks above; kept as the statement the record makes
+        lhs = h * (h + 1) // 2
+        rhs = m * (m + 1) // 2 + r * (r + 1) + s * (s + 1)
         if lhs != rhs:
             raise ValueError(f"triangular identity fails: {lhs} != {rhs}")
-        return self
+        return tuple.__new__(cls, fields)
 
     # _replace builds through _make, so a replaced record is checked too
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -102,14 +94,18 @@ def _odd_squares_upto(limit: int) -> tuple[list[int], frozenset[int]]:
     return table
 
 
-# The primes p = 3 (mod 4) below 50, multiplied together.
-_PRIMES_3_MOD_4 = 3 * 7 * 11 * 19 * 23 * 31 * 43 * 47
+# The primes p = 3 (mod 4) below _SCREEN_BOUND (the p = 3 (mod 4) with no
+# odd divisor from 3 to isqrt(p)), multiplied together.
+_SCREEN_BOUND = 500
+_PRIMES_3_MOD_4 = prod(
+    p for p in range(3, _SCREEN_BOUND, 4) if all(p % d for d in range(3, isqrt(p) + 1, 2))
+)
 
 
 def _not_two_squares(half: int) -> bool:
-    """True when some prime p = 3 (mod 4) below 50 divides half exactly
-    once, so that half is not a sum of two squares: p | y^2 + z^2 forces
-    p | y and p | z, and then p^2 | half.
+    """True when some prime p = 3 (mod 4) below 500 (_SCREEN_BOUND)
+    divides half exactly once, so that half is not a sum of two squares:
+    p | y^2 + z^2 forces p | y and p | z, and then p^2 | half.
 
     g = gcd(half, the product of those primes) is square-free, so each
     p | g divides half / p exactly when it divides half / g; the rule holds
@@ -127,10 +123,11 @@ def odd_representation(h: int) -> OddRepresentation:
     from the largest with z^2 <= half, and the first z leaving an odd
     square half - z^2 gives the smallest y.  If (y, z) solves y^2 + z^2 =
     half, so does (z, y), so the smallest y has y <= z and the search for
-    z stops at 2z^2 < half.  An odd square is 1 mod 8, so a sum of two is 2 mod 8; any x whose half
-    is not is skipped without a search, and so is any x whose half a prime
-    p = 3 (mod 4) below 50 divides exactly once (_not_two_squares), since
-    such a half is no sum of two squares at all.
+    z stops at 2z^2 < half.  An odd square is 1 mod 8, so a sum of two is
+    2 mod 8; any x whose half is not is skipped without a search, and so
+    is any x whose half a prime p = 3 (mod 4) below 500 divides exactly
+    once (_not_two_squares), since such a half is no sum of two squares
+    at all.
     """
     h = _integer(h, "h", 2)
     target = (2 * h + 1) ** 2 + 4

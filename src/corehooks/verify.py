@@ -135,9 +135,16 @@ def _region_samples(parts: tuple[int, ...], hooks: list[int], t: int):
                 yield Cell(i + 1, j + 1), h, witness
 
 
+# The powers of two 1 << b for b = 0, 1, 2, ..., shared by every
+# _missing_hook_lengths call.  The table is rebuilt at twice the length a
+# beta number needs, so it is built O(log n) times; it is rebound whole,
+# never changed in place.
+_powers = [1]
+
+
 def _missing_hook_lengths(parts: tuple[int, ...], ts) -> list[int]:
-    """The t of ts (positive), in their order, that are not hook lengths
-    of the diagram of parts.
+    """The t of the sequence ts (positive), in their order, that are not
+    hook lengths of the diagram of parts.
 
     The first-column hooks b_i = parts[i-1] + len(parts) - i are the beta
     numbers of the partition, and the hook lengths are the differences
@@ -146,12 +153,25 @@ def _missing_hook_lengths(parts: tuple[int, ...], ts) -> list[int]:
     the betas.  With bits the int whose bit b is set for each beta number,
     bit c of (bits >> t) & ~bits is set exactly when c + t is a beta number
     and c is not, so t is missing exactly when that int is 0: one shift
-    and one mask per t, after one pass over the parts to build bits.
+    and one mask per t, after one pass over the parts that sets the bit
+    of each beta, read as 1 << b from a table of powers.  The t are tested
+    in order, and the list is built only once one is missing.
     """
+    global _powers
+    powers = _powers
+    top = parts[0] + len(parts) if parts else 0  # one more than the largest beta
+    if top > len(powers):
+        powers = _powers = [1 << b for b in range(2 * top)]
     bits = 0
-    for i, v in enumerate(reversed(parts)):
-        bits |= 1 << (v + i)  # the beta number of the i-th part from the end
-    return [t for t in ts if not (bits >> t) & ~bits]
+    i = 0
+    for v in reversed(parts):
+        bits |= powers[v + i]  # the beta number of the i-th part from the end
+        i += 1
+    rest = ~bits
+    for t in ts:
+        if not (bits >> t) & rest:
+            return [u for u in ts if not (bits >> u) & rest]
+    return []
 
 
 # The positive witnesses per t that region_theorem_scan samples.

@@ -413,6 +413,13 @@ RECORDED_SHA256 = [
     ("series --t 2 --order 0", 0, "57c5e1f94a70328b102d0adfa0ee3d7181e8c7fcf88122a199f866a8782a0dd6"),
     ("quadform --h-max 60 --format csv", 0, "8aa6b5b60223c9fc58791368a913912b082ad16c46e587566eee5b337aa56451"),
     ("count --t 5 --k 1,3,6 --n 0..300", 0, "d801d7cb1da30e3caa94b5ad7451a0af5f0bbeb6271b3fe8a8ead971f09c8f4d"),
+    # recorded while core_count_series added its near pentagonal terms
+    # through two maps per size, the region scan shifted 1 for each beta
+    # and the odd-representation screen stopped at the primes below 50:
+    # each beyond the benchmark's sizes
+    ("quadform --h-max 3000 --format csv", 0, "a4f3e5ce924b6664de040d1832fc79f804fdea09fa4e7c2303d81c447f97417a"),
+    ("series --t 5 --order 5000", 0, "be342415934297ae561e1bf735b563573982da0e72a348f110ac3231dc86fddb"),
+    ("verify --check region --n-max 27 --format json", 0, "61b7639bfd443693dd4c3f4ea466a6a1fa3c0b85ca1cbe0bcd3afdb2ee234d4b"),
 ]
 
 

@@ -1,3 +1,6 @@
+import ast
+import inspect
+import textwrap
 from collections import Counter
 from operator import itemgetter
 
@@ -87,6 +90,45 @@ def test_blocks_match_the_recurrence_one_n_at_a_time(t):
     # orders at and beside the edges of the first blocks, and one far past
     for order in (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1000):
         assert list(core_count_series(t, order)) == recurrence_core_series(t, order), order
+
+
+def _fixed_near_terms():
+    """The signed e of each c[n - e] in the per-n sum of
+    core_count_series, + when it is added: read from its source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(core_count_series)))
+    (step,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
+    ]
+    terms = []
+
+    def walk(node, sign):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            walk(node.left, sign)
+            walk(node.right, sign if isinstance(node.op, ast.Add) else -sign)
+        else:
+            assert ast.unparse(node).startswith("c[n - "), ast.unparse(node)
+            terms.append(sign * node.slice.right.value)
+
+    walk(step.value, 1)
+    return terms
+
+
+def test_fixed_near_terms_are_the_pentagonal_numbers_below_the_block():
+    # k(3k - 1)/2 and k(3k + 1)/2 below _BLOCK, added for odd k, less for even k
+    pentagonal = [
+        (1 if k % 2 else -1) * e
+        for k in range(1, _BLOCK)
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        if e < _BLOCK
+    ]
+    assert sorted(_fixed_near_terms(), key=abs) == pentagonal
+    assert pentagonal == [1, 2, -5, -7, 12, 15, -22, -26]
+    # orders below, at and beside the largest near term, the block edges
+    # and one far past them
+    for t in range(2, 14):
+        for order in (0, 1, 2, 25, 26, 27, 31, 32, 33, 65, 1000):
+            assert list(core_count_series(t, order)) == recurrence_core_series(t, order), (t, order)
 
 
 def test_blocks_above_order_give_the_partition_numbers():

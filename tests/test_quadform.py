@@ -1,9 +1,12 @@
 import hashlib
-from math import isqrt
+import re
+from math import isqrt, prod
 
 import pytest
 
 from corehooks.quadform import (
+    _PRIMES_3_MOD_4,
+    _SCREEN_BOUND,
     OddRepresentation,
     _not_two_squares,
     check_triangular_4core_pair,
@@ -79,9 +82,10 @@ def test_odd_representations_pinned_through_6000():
 
 
 def test_search_exhausts_an_x_that_passes_both_screens():
-    # some answers come after an x that both screens let through: the z
-    # search ran over its whole range there and found no pair, and a
-    # listing of the odd pairs confirms there is none
+    # some answers come after an x that both screens let through (half
+    # 2 mod 8, no prime 3 mod 4 below 500 dividing it once): the z search
+    # ran over its whole range there and found no pair, and a listing of
+    # the odd pairs confirms there is none
     exhausted = []
     for h in range(2, 151):
         target = (2 * h + 1) ** 2 + 4
@@ -98,7 +102,20 @@ def test_search_exhausts_an_x_that_passes_both_screens():
             ]
             assert odd_pairs == [], h
             exhausted.append(h)
-    assert exhausted[:3] == [61, 73, 76]
+    assert exhausted == [133, 142]
+
+
+def test_screen_is_the_product_of_the_primes_3_mod_4_below_its_bound():
+    # the primes below _SCREEN_BOUND by a sieve of Eratosthenes
+    assert _SCREEN_BOUND == 500
+    sieve = bytearray([1]) * _SCREEN_BOUND
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(_SCREEN_BOUND - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, _SCREEN_BOUND, p)))
+    primes = [p for p in range(_SCREEN_BOUND) if sieve[p] and p % 4 == 3]
+    assert primes[:8] == [3, 7, 11, 19, 23, 31, 43, 47] and primes[-1] == 499
+    assert _PRIMES_3_MOD_4 == prod(primes)
 
 
 def test_prime_rule_skips_only_halves_with_no_odd_pair():
@@ -142,6 +159,41 @@ def test_odd_representation_names_the_failed_bound(fields, message):
     with pytest.raises(ValueError) as exc:
         OddRepresentation(*fields)
     assert str(exc.value) == message
+
+
+# (fields, message) of each check of OddRepresentation, in the order it
+# runs them; the triangular identity follows from the checks before it
+FAILED_CHECKS = [
+    # 3^2 + 2 + 2 = 13 = 3^2 + 4 holds, but h = 1 is below the bound
+    ((1, 3, 1, 1, 1, 0, 0), "h must be at least 2, got 1"),
+    ((2, 3, 1, 5, 1, 0, 2),
+     "not a representation of 29: OddRepresentation(h=2, x=3, y=1, z=5, m=1, r=0, s=2)"),
+    # (-3)^2 + 2 + 2 * 3^2 = 29 = 5^2 + 4 and so on: the sums hold
+    ((2, -3, 1, 3, -2, 0, 1), "x must be a positive odd integer, got -3"),
+    ((2, 3, -1, 3, 1, -1, 1), "y must be a positive odd integer, got -1"),
+    ((2, 3, 1, -3, 1, 0, -2), "z must be a positive odd integer, got -3"),
+    ((2, 3, 1, 3, 0, 0, 1),
+     "(m, r, s) do not match (x, y, z): OddRepresentation(h=2, x=3, y=1, z=3, m=0, r=0, s=1)"),
+]
+
+
+@pytest.mark.parametrize("fields,message", FAILED_CHECKS, ids=["h", "sum", "x", "y", "z", "mrs"])
+def test_odd_representation_messages(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OddRepresentation(*fields)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OddRepresentation._make(fields)
+    names = OddRepresentation._fields
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        odd_representation(2)._replace(**dict(zip(names, fields)))
+
+
+def test_make_and_replace_build_checked_records():
+    r = odd_representation(2)
+    assert OddRepresentation._make(tuple(r)) == r == (2, 3, 1, 3, 1, 0, 1)
+    assert type(OddRepresentation._make(r)) is OddRepresentation
+    # 3^2 + 2 * 1 + 2 * 3^2 = 29, and 5^2 + 2 * 1 + 2 * 1 = 29 as well
+    assert r._replace(x=5, z=1, m=2, s=0) == (2, 5, 1, 1, 2, 0, 0)
 
 
 def test_odd_forcing_on_all_representations():

@@ -8,6 +8,7 @@ from corehooks.cli import main
 from corehooks.generate import PartFilter, t_cores_up_to
 from corehooks.hookstats import FAILS, HOLDS, NOT_APPLICABLE, bias_table, hook_count_table
 from corehooks.partition import Cell, Partition, hook_lengths_of
+from corehooks.qseries import core_count_series
 from corehooks.verify import (
     CHECKS,
     check_2core_ladder,
@@ -27,6 +28,7 @@ from conftest import (
     naive_hooks,
     naive_is_t_core,
     naive_partitions,
+    walk_t_cores,
     walker_cores_of,
 )
 
@@ -183,6 +185,50 @@ def test_missing_hook_lengths_match_diagram_hooks():
         for parts in naive_partitions(n):
             hooks = set(naive_hooks(parts))
             assert _missing_hook_lengths(parts, ts) == [t for t in ts if t not in hooks], parts
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_missing_hook_lengths_of_every_t_core(t):
+    # a t-core of n <= 30 has no hook of length t, nor of 2t, 3t, ...
+    from corehooks.verify import _missing_hook_lengths
+
+    multiples = range(t, 31, t)
+    cores = 0
+    for _, parts in walk_t_cores(t, 30, False):
+        assert _missing_hook_lengths(parts, [t]) == [t], parts
+        assert _missing_hook_lengths(parts, multiples) == list(multiples), parts
+        cores += 1
+    assert cores == sum(core_count_series(t, 30))
+
+
+def test_missing_hook_lengths_reports_each_missing_t_in_order():
+    # [4, 2] has hook lengths 5, 4, 2, 1, 2, 1: no 3 and no 6
+    from corehooks.verify import _missing_hook_lengths
+
+    assert sorted(set(naive_hooks((4, 2)))) == [1, 2, 4, 5]
+    assert _missing_hook_lengths((4, 2), [2, 6, 1, 5, 3]) == [6, 3]
+    assert _missing_hook_lengths((4, 2), [3, 4, 6]) == [3, 6]
+    assert _missing_hook_lengths((4, 2), [5, 4, 2, 1]) == []
+
+
+def test_missing_hook_lengths_after_the_table_of_powers_grows():
+    from corehooks import verify
+
+    ts = range(1, 70)
+    for parts in naive_partitions(8):
+        hooks = set(naive_hooks(parts))
+        assert verify._missing_hook_lengths(parts, ts) == [t for t in ts if t not in hooks]
+    # (60,) has the hook lengths 1..60; a part past the table's end
+    # rebinds it to a longer one
+    assert verify._missing_hook_lengths((60,), ts) == list(range(61, 70))
+    table = verify._powers
+    big = (len(table), 2, 1)
+    hooks = set(naive_hooks(big))
+    assert verify._missing_hook_lengths(big, range(1, len(table) + 4)) == [
+        t for t in range(1, len(table) + 4) if t not in hooks
+    ]
+    assert verify._powers is not table and len(verify._powers) > len(table) + 2
+    assert verify._powers == [1 << b for b in range(len(verify._powers))]
 
 
 def test_region_scan_validation():
